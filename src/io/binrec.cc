@@ -8,6 +8,8 @@
 #include <cstring>
 #include <fstream>
 #include <istream>
+#include <iterator>
+#include <limits>
 #include <map>
 #include <ostream>
 #include <tuple>
@@ -388,48 +390,14 @@ bool decode_trace_payload(const unsigned char* payload, std::size_t size,
   return cur.remaining() == 0;
 }
 
-/// CRC-checks and decodes one block whose header has already been
-/// validated structurally. Returns false when the block must be counted
-/// corrupt.
-bool decode_block(BlockKind kind, std::size_t record_count,
-                  const unsigned char* payload, std::size_t payload_bytes,
-                  const TraceRecordFn& on_trace, const PingRecordFn& on_ping,
-                  BinReadCounters& counters) {
-  if (record_count == 0) return payload_bytes == 0;  // explicit empty block
-  const std::size_t before = counters.records_read;
-  const bool ok =
-      kind == BlockKind::kPing
-          ? decode_ping_payload(payload, payload_bytes, record_count, on_ping,
-                                counters)
-          : decode_trace_payload(payload, payload_bytes, record_count,
-                                 on_trace, counters);
-  if (counters.records_read > before) {
-    obs_records_read().inc(counters.records_read - before);
-  }
-  return ok;
-}
-
-/// Parsed block header; `valid` false means the fixed fields are
-/// implausible (decode must not trust payload_bytes).
-struct BlockHeader {
-  BlockKind kind = BlockKind::kPing;
-  std::uint16_t record_count = 0;
-  std::uint32_t payload_bytes = 0;
-  std::uint32_t crc = 0;
-  bool valid = false;
-};
-
-BlockHeader parse_block_header(const unsigned char* h) {
-  BlockHeader out;
-  const std::uint8_t kind = h[4];
-  out.record_count = get_u16le(h + 6);
-  out.payload_bytes = get_u32le(h + 8);
-  out.crc = get_u32le(h + 12);
-  out.valid = kind <= 1 && out.record_count <= kMaxBlockRecords &&
-              out.payload_bytes <= kMaxBlockPayloadBytes;
-  out.kind = kind == 0 ? BlockKind::kPing : BlockKind::kTraceroute;
-  return out;
-}
+// -- The block walk ----------------------------------------------------------
+//
+// block_at() is the only code that reads a block header field, and
+// walk_blocks() is the only loop that chains block headers. Every public
+// entry point is a policy over the walk (DESIGN.md section 10):
+// resync-and-count (read_all, decode_block_range), strict-nullopt
+// (index_blocks), stop-at-first-bad (recover_archive) and structural-only
+// (scan_blocks, block_end).
 
 std::uint32_t block_crc(const unsigned char* header,
                         const unsigned char* payload,
@@ -438,44 +406,187 @@ std::uint32_t block_crc(const unsigned char* header,
   return crc32c(crc, payload, payload_bytes);
 }
 
-bool parse_file_header(const unsigned char* data, std::size_t size,
-                       std::uint16_t& version, std::string& error) {
-  if (size < kBinFileHeaderBytes || get_u32le(data) != kBinFileMagic) {
-    error = "not an .s2sb stream (bad magic)";
-    return false;
+/// What sits at one offset of the block region.
+struct BlockAt {
+  enum class What : std::uint8_t {
+    kBlock,      ///< plausible header, payload in bounds, CRC matches
+    kBadCrc,     ///< plausible header, payload in bounds, CRC mismatch
+    kBadHeader,  ///< no block magic, or implausible fixed fields
+    kFooter,     ///< the footer magic: the block region ends here
+    kTorn,       ///< the range ends inside the magic, header or payload
+  };
+  What what = What::kTorn;
+  BlockKind kind = BlockKind::kPing;
+  std::uint16_t record_count = 0;
+  const unsigned char* payload = nullptr;
+  std::size_t payload_bytes = 0;
+  std::size_t end = 0;  ///< offset just past the payload
+};
+
+/// Parses the block at `pos` of the range [0, end). With `verify_crc`
+/// off, every plausible in-bounds block reads as kBlock.
+BlockAt block_at(const unsigned char* data, std::size_t end, std::size_t pos,
+                 bool verify_crc) {
+  using What = BlockAt::What;
+  BlockAt b;
+  if (pos + 4 > end) return b;
+  const std::uint32_t magic = get_u32le(data + pos);
+  if (magic != kBinBlockMagic) {
+    b.what = magic == kBinFooterMagic ? What::kFooter : What::kBadHeader;
+    return b;
   }
-  version = get_u16le(data + 4);
-  if (version == 0 || version > kBinVersion) {
-    error = "unsupported .s2sb version " + std::to_string(version);
-    return false;
+  if (pos + kBinBlockHeaderBytes > end) return b;
+  const unsigned char* h = data + pos;
+  b.record_count = get_u16le(h + 6);
+  b.payload_bytes = get_u32le(h + 8);
+  if (h[4] > 1 || b.record_count > kMaxBlockRecords ||
+      b.payload_bytes > kMaxBlockPayloadBytes) {
+    b.what = What::kBadHeader;  // payload_bytes cannot be trusted
+    return b;
   }
-  return true;
+  b.kind = static_cast<BlockKind>(h[4]);
+  b.payload = h + kBinBlockHeaderBytes;
+  b.end = pos + kBinBlockHeaderBytes + b.payload_bytes;
+  if (b.end > end) return b;
+  b.what = What::kBlock;
+  if (verify_crc &&
+      block_crc(h, b.payload, b.payload_bytes) != get_u32le(h + 12)) {
+    b.what = What::kBadCrc;
+    obs_crc_failures().inc();
+  }
+  return b;
 }
 
-/// Recovers a block's encode-time [first, last] span from its times
-/// column. Both payload kinds lead with dict, pair indices, then times,
-/// so one decoder serves both; the span covers every record in the block
-/// (the writer's min/max does too), not just the ones a full decode would
-/// deliver.
-bool block_time_span(std::size_t record_count, const unsigned char* payload,
-                     std::size_t size, std::int64_t& first,
-                     std::int64_t& last) {
-  first = 0;
-  last = 0;
-  if (record_count == 0) return true;
-  ByteCursor cur(payload, size);
+enum class WalkEnd : std::uint8_t {
+  kEof,     ///< the range ended at a block boundary or while resyncing
+  kFooter,  ///< the footer magic at a block boundary
+  kTorn,    ///< the range ends inside a block
+  kBad,     ///< a bad block, with resync off
+};
+
+struct Walk {
+  WalkEnd end = WalkEnd::kEof;
+  std::size_t pos = 0;      ///< where the walk stopped
+  std::size_t skipped = 0;  ///< bad blocks resynced past
+};
+
+/// Walks the blocks of [begin, end). `visit(pos, block)` sees each kBlock
+/// and returns false when the block fails to decode, which makes it bad.
+/// With `resync`, a bad block counts once in `skipped` and the walk goes
+/// on past its payload, or — when its header cannot be trusted — at the
+/// next block or footer magic. Without, the walk stops on it.
+template <typename Visit>
+Walk walk_blocks(const unsigned char* data, std::size_t begin,
+                 std::size_t end, bool resync, bool verify_crc,
+                 Visit&& visit) {
+  using What = BlockAt::What;
+  Walk w{.pos = begin};
+  while (w.pos < end) {
+    const BlockAt b = block_at(data, end, w.pos, verify_crc);
+    if (b.what == What::kFooter || b.what == What::kTorn) {
+      w.end = b.what == What::kFooter ? WalkEnd::kFooter : WalkEnd::kTorn;
+      return w;
+    }
+    if (b.what == What::kBlock && visit(w.pos, b)) {
+      w.pos = b.end;
+      continue;
+    }
+    if (!resync) {
+      w.end = WalkEnd::kBad;
+      return w;
+    }
+    ++w.skipped;
+    if (b.what != What::kBadHeader) {
+      w.pos = b.end;
+      continue;
+    }
+    std::size_t p = w.pos + 1;
+    for (; p + 4 <= end; ++p) {
+      const std::uint32_t m = get_u32le(data + p);
+      if (m == kBinBlockMagic || m == kBinFooterMagic) break;
+    }
+    w.pos = p + 4 <= end ? p : end;
+  }
+  return w;
+}
+
+/// Decodes one kBlock into the callbacks; false when the block must be
+/// counted corrupt.
+bool decode_block(const BlockAt& b, const TraceRecordFn& on_trace,
+                  const PingRecordFn& on_ping, BinReadCounters& counters) {
+  const std::size_t before = counters.records_read;
+  bool ok = b.payload_bytes == 0;  // an explicit empty block
+  if (b.record_count > 0) {
+    ok = b.kind == BlockKind::kPing
+             ? decode_ping_payload(b.payload, b.payload_bytes,
+                                   b.record_count, on_ping, counters)
+             : decode_trace_payload(b.payload, b.payload_bytes,
+                                    b.record_count, on_trace, counters);
+  }
+  if (counters.records_read > before) {
+    obs_records_read().inc(counters.records_read - before);
+  }
+  if (ok) {
+    ++counters.blocks_read;
+    obs_blocks_read().inc();
+  }
+  return ok;
+}
+
+/// The resync-and-count policy: damaged blocks are counted and skipped,
+/// and a torn tail is one more corrupt block plus the truncated flag.
+WalkEnd decode_walk(const unsigned char* data, std::size_t begin,
+                    std::size_t end, const TraceRecordFn& on_trace,
+                    const PingRecordFn& on_ping, BinReadCounters& counters) {
+  const Walk w = walk_blocks(
+      data, begin, end, /*resync=*/true, /*verify_crc=*/true,
+      [&](std::size_t, const BlockAt& b) {
+        return decode_block(b, on_trace, on_ping, counters);
+      });
+  counters.corrupt_blocks += w.skipped;
+  if (w.end == WalkEnd::kTorn) {
+    ++counters.corrupt_blocks;
+    counters.truncated = true;
+  }
+  return w.end;
+}
+
+/// Empty when the image starts with a supported file header.
+std::string file_header_error(const unsigned char* data, std::size_t size) {
+  if (size < kBinFileHeaderBytes || get_u32le(data) != kBinFileMagic) {
+    return "not an .s2sb stream (bad magic)";
+  }
+  const std::uint16_t version = get_u16le(data + 4);
+  if (version == 0 || version > kBinVersion) {
+    return "unsupported .s2sb version " + std::to_string(version);
+  }
+  return {};
+}
+
+/// The footer entry of a CRC-valid block. Its [first, last] span comes
+/// from the times column, which both payload kinds lead with (after the
+/// dict and pair indices), so it covers every record in the block —
+/// including ones a decoder rejects for a bad RTT — exactly as the
+/// writer's min/max does. False when that column does not decode.
+bool index_entry(std::size_t pos, const BlockAt& b, BlockIndexEntry& e) {
+  e.offset = pos;
+  e.record_count = b.record_count;
+  e.kind = b.kind;
+  e.first_time_s = 0;
+  e.last_time_s = 0;
+  if (b.record_count == 0) return true;
+  ByteCursor cur(b.payload, b.payload_bytes);
   std::vector<PairEntry> dict;
   std::vector<std::uint32_t> idx;
   std::vector<std::int64_t> times;
-  if (!decode_pair_dict(cur, record_count, dict)) return false;
-  if (!decode_pair_indices(cur, record_count, dict.size(), idx)) return false;
-  if (!decode_times(cur, record_count, times)) return false;
-  first = times.front();
-  last = times.front();
-  for (const auto t : times) {
-    first = std::min(first, t);
-    last = std::max(last, t);
+  if (!decode_pair_dict(cur, b.record_count, dict)) return false;
+  if (!decode_pair_indices(cur, b.record_count, dict.size(), idx)) {
+    return false;
   }
+  if (!decode_times(cur, b.record_count, times)) return false;
+  const auto [lo, hi] = std::minmax_element(times.begin(), times.end());
+  e.first_time_s = *lo;
+  e.last_time_s = *hi;
   return true;
 }
 
@@ -515,68 +626,36 @@ std::optional<double> decode_rtt_thousandths(std::uint32_t v) {
 std::optional<std::vector<BlockRef>> scan_blocks(const void* data,
                                                  std::size_t size) {
   const auto* bytes = static_cast<const unsigned char*>(data);
-  std::uint16_t version = 0;
-  std::string error;
-  if (!parse_file_header(bytes, size, version, error)) return std::nullopt;
+  if (!file_header_error(bytes, size).empty()) return std::nullopt;
   std::vector<BlockRef> out;
-  std::size_t pos = kBinFileHeaderBytes;
-  while (pos + 4 <= size) {
-    const std::uint32_t magic = get_u32le(bytes + pos);
-    if (magic != kBinBlockMagic) break;  // footer, garbage, or EOF
-    if (pos + kBinBlockHeaderBytes > size) break;
-    const auto header = parse_block_header(bytes + pos);
-    if (!header.valid ||
-        pos + kBinBlockHeaderBytes + header.payload_bytes > size) {
-      break;
-    }
-    BlockRef ref;
-    ref.header_offset = pos;
-    ref.payload_offset = pos + kBinBlockHeaderBytes;
-    ref.payload_bytes = header.payload_bytes;
-    ref.record_count = header.record_count;
-    ref.kind = header.kind;
-    out.push_back(ref);
-    pos = ref.payload_offset + ref.payload_bytes;
-  }
+  walk_blocks(bytes, kBinFileHeaderBytes, size, /*resync=*/false,
+              /*verify_crc=*/false, [&](std::size_t pos, const BlockAt& b) {
+                out.push_back({pos, pos + kBinBlockHeaderBytes,
+                               b.payload_bytes, b.record_count, b.kind});
+                return true;
+              });
   return out;
+}
+
+std::optional<std::size_t> block_end(const void* data, std::size_t size,
+                                     std::size_t offset) {
+  const BlockAt b = block_at(static_cast<const unsigned char*>(data), size,
+                             offset, /*verify_crc=*/false);
+  if (b.what != BlockAt::What::kBlock) return std::nullopt;
+  return b.end;
 }
 
 std::optional<std::vector<BlockIndexEntry>> index_blocks(const void* data,
                                                          std::size_t size) {
   const auto* bytes = static_cast<const unsigned char*>(data);
-  std::uint16_t version = 0;
-  std::string error;
-  if (!parse_file_header(bytes, size, version, error)) return std::nullopt;
+  if (!file_header_error(bytes, size).empty()) return std::nullopt;
   std::vector<BlockIndexEntry> out;
-  std::size_t pos = kBinFileHeaderBytes;
-  while (pos < size) {
-    if (pos + 4 <= size && get_u32le(bytes + pos) == kBinFooterMagic) {
-      return out;  // sealed archive: blocks end where the footer starts
-    }
-    if (pos + kBinBlockHeaderBytes > size ||
-        get_u32le(bytes + pos) != kBinBlockMagic) {
-      return std::nullopt;  // torn header or trailing garbage
-    }
-    const auto header = parse_block_header(bytes + pos);
-    const std::size_t payload_at = pos + kBinBlockHeaderBytes;
-    if (!header.valid || payload_at + header.payload_bytes > size) {
-      return std::nullopt;  // implausible header or torn payload
-    }
-    const unsigned char* payload = bytes + payload_at;
-    if (block_crc(bytes + pos, payload, header.payload_bytes) != header.crc) {
-      return std::nullopt;
-    }
-    BlockIndexEntry entry;
-    entry.offset = pos;
-    entry.record_count = header.record_count;
-    entry.kind = header.kind;
-    if (!block_time_span(header.record_count, payload, header.payload_bytes,
-                         entry.first_time_s, entry.last_time_s)) {
-      return std::nullopt;
-    }
-    out.push_back(entry);
-    pos = payload_at + header.payload_bytes;
-  }
+  const Walk w = walk_blocks(bytes, kBinFileHeaderBytes, size,
+                             /*resync=*/false, /*verify_crc=*/true,
+                             [&](std::size_t pos, const BlockAt& b) {
+                               return index_entry(pos, b, out.emplace_back());
+                             });
+  if (w.end == WalkEnd::kTorn || w.end == WalkEnd::kBad) return std::nullopt;
   return out;
 }
 
@@ -585,34 +664,8 @@ void decode_block_range(const void* data, std::size_t size,
                         const TraceRecordFn& on_trace,
                         const PingRecordFn& on_ping,
                         BinReadCounters& counters) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  const std::size_t end = std::min(end_offset, size);
-  std::size_t pos = begin_offset;
-  while (pos < end) {
-    if (pos + 4 <= end && get_u32le(bytes + pos) == kBinFooterMagic) {
-      return;  // block region ends at the footer: a clean stop, not a tear
-    }
-    if (pos + kBinBlockHeaderBytes > end ||
-        get_u32le(bytes + pos) != kBinBlockMagic) {
-      counters.truncated = true;
-      return;
-    }
-    const auto header = parse_block_header(bytes + pos);
-    const std::size_t payload_at = pos + kBinBlockHeaderBytes;
-    if (!header.valid || payload_at + header.payload_bytes > end) {
-      counters.truncated = true;
-      return;
-    }
-    const unsigned char* payload = bytes + payload_at;
-    if (block_crc(bytes + pos, payload, header.payload_bytes) != header.crc ||
-        !decode_block(header.kind, header.record_count, payload,
-                      header.payload_bytes, on_trace, on_ping, counters)) {
-      ++counters.corrupt_blocks;
-    } else {
-      ++counters.blocks_read;
-    }
-    pos = payload_at + header.payload_bytes;
-  }
+  decode_walk(static_cast<const unsigned char*>(data), begin_offset,
+              std::min(end_offset, size), on_trace, on_ping, counters);
 }
 
 // ---------------------------------------------------------------------------
@@ -804,45 +857,30 @@ RecoverResult recover_archive(const std::string& path) {
   }
   const auto* data = file.data();
   const std::size_t size = file.size();
-  std::uint16_t version = 0;
-  if (!parse_file_header(data, size, version, res.error)) return res;
+  res.error = file_header_error(data, size);
+  if (!res.error.empty()) return res;
 
-  // Walk the longest valid prefix: structurally plausible header, payload
-  // in bounds, CRC match, and a full decode (null sinks — this pass only
-  // proves decodability and recovers each block's encode-time span).
+  // Keep the longest valid prefix: every block CRC-valid and fully
+  // decodable (null sinks — this pass only proves decodability and
+  // recovers each block's encode-time span).
   std::vector<BlockIndexEntry> index;
-  std::size_t pos = kBinFileHeaderBytes;
-  while (pos + kBinBlockHeaderBytes <= size &&
-         get_u32le(data + pos) == kBinBlockMagic) {
-    const auto bh = parse_block_header(data + pos);
-    if (!bh.valid ||
-        pos + kBinBlockHeaderBytes + bh.payload_bytes > size) {
-      break;
-    }
-    const unsigned char* payload = data + pos + kBinBlockHeaderBytes;
-    if (block_crc(data + pos, payload, bh.payload_bytes) != bh.crc) break;
-    BinReadCounters counters;
-    if (!decode_block(bh.kind, bh.record_count, payload, bh.payload_bytes,
-                      [](const probe::TracerouteRecord&) {},
-                      [](const probe::PingRecord&) {}, counters)) {
-      break;
-    }
-    BlockIndexEntry entry;
-    entry.offset = pos;
-    entry.record_count = bh.record_count;
-    entry.kind = bh.kind;
-    // The footer span is the writer's min/max over every record's time,
-    // including records a decoder would reject for a bad RTT — so take it
-    // from the times column (which all block kinds lead with), not from
-    // the delivered-record callbacks.
-    if (!block_time_span(bh.record_count, payload, bh.payload_bytes,
-                         entry.first_time_s, entry.last_time_s)) {
-      break;
-    }
-    index.push_back(entry);
-    res.records_kept += bh.record_count;
-    pos += kBinBlockHeaderBytes + bh.payload_bytes;
-  }
+  const std::size_t pos =
+      walk_blocks(data, kBinFileHeaderBytes, size, /*resync=*/false,
+                  /*verify_crc=*/true,
+                  [&](std::size_t at, const BlockAt& b) {
+                    BinReadCounters counters;
+                    BlockIndexEntry entry;
+                    if (!decode_block(b, [](const probe::TracerouteRecord&) {},
+                                      [](const probe::PingRecord&) {},
+                                      counters) ||
+                        !index_entry(at, b, entry)) {
+                      return false;
+                    }
+                    index.push_back(entry);
+                    res.records_kept += b.record_count;
+                    return true;
+                  })
+          .pos;
   res.blocks_kept = index.size();
 
   // Already sealed and intact? Leave the file untouched.
@@ -872,92 +910,7 @@ RecoverResult recover_archive(const std::string& path) {
 }
 
 // ---------------------------------------------------------------------------
-// BinRecordReader (buffered istream arm)
-// ---------------------------------------------------------------------------
-
-BinRecordReader::BinRecordReader(std::istream& in) : in_(in) {
-  unsigned char header[kBinFileHeaderBytes];
-  in_.read(reinterpret_cast<char*>(header), sizeof(header));
-  if (in_.gcount() != static_cast<std::streamsize>(sizeof(header))) {
-    error_ = "truncated .s2sb header";
-    return;
-  }
-  ok_ = parse_file_header(header, sizeof(header), version_, error_);
-}
-
-void BinRecordReader::read_all_impl(const TraceRecordFn& on_trace,
-                                    const PingRecordFn& on_ping) {
-  if (!ok_) return;
-  std::string payload;
-  // Rolling 4-byte window for magic detection; refilled byte-by-byte
-  // only while resyncing after a corrupt header.
-  while (true) {
-    unsigned char header[kBinBlockHeaderBytes];
-    in_.read(reinterpret_cast<char*>(header), 4);
-    if (in_.gcount() == 0) return;  // clean EOF at a block boundary
-    if (in_.gcount() < 4) {
-      ++counters_.corrupt_blocks;  // trailing partial magic
-      counters_.truncated = true;
-      return;
-    }
-    std::uint32_t magic = get_u32le(header);
-    if (magic == kBinFooterMagic) return;  // index begins; records done
-    if (magic != kBinBlockMagic) {
-      // Resync: scan forward one byte at a time for the next block or
-      // footer magic. One resync event = one corrupt block.
-      ++counters_.corrupt_blocks;
-      int c;
-      while ((c = in_.get()) != std::char_traits<char>::eof()) {
-        magic = (magic >> 8) |
-                (static_cast<std::uint32_t>(static_cast<unsigned char>(c))
-                 << 24);
-        if (magic == kBinFooterMagic) return;
-        if (magic == kBinBlockMagic) break;
-      }
-      if (magic != kBinBlockMagic) return;  // EOF while resyncing
-      // Fall through with the magic consumed; rebuild header[0..3]
-      // (cosmetic — the CRC scope starts at byte 4).
-      header[0] = 'S'; header[1] = '2'; header[2] = 'B'; header[3] = 'K';
-    }
-    in_.read(reinterpret_cast<char*>(header) + 4,
-             kBinBlockHeaderBytes - 4);
-    if (in_.gcount() <
-        static_cast<std::streamsize>(kBinBlockHeaderBytes - 4)) {
-      ++counters_.corrupt_blocks;  // truncated mid-header
-      counters_.truncated = true;
-      return;
-    }
-    const auto bh = parse_block_header(header);
-    if (!bh.valid) {
-      // Implausible fixed fields: do not trust payload_bytes; resync.
-      ++counters_.corrupt_blocks;
-      continue;  // next loop iteration starts a fresh magic scan
-    }
-    payload.resize(bh.payload_bytes);
-    in_.read(payload.data(), static_cast<std::streamsize>(bh.payload_bytes));
-    if (in_.gcount() < static_cast<std::streamsize>(bh.payload_bytes)) {
-      ++counters_.corrupt_blocks;  // truncated mid-payload
-      counters_.truncated = true;
-      return;
-    }
-    const auto* pbytes = reinterpret_cast<const unsigned char*>(payload.data());
-    if (block_crc(header, pbytes, payload.size()) != bh.crc) {
-      ++counters_.corrupt_blocks;
-      obs_crc_failures().inc();
-      continue;
-    }
-    if (!decode_block(bh.kind, bh.record_count, pbytes, payload.size(),
-                      on_trace, on_ping, counters_)) {
-      ++counters_.corrupt_blocks;
-      continue;
-    }
-    ++counters_.blocks_read;
-    obs_blocks_read().inc();
-  }
-}
-
-// ---------------------------------------------------------------------------
-// BinRecordMmapReader (zero-copy arm)
+// BinRecordMmapReader
 // ---------------------------------------------------------------------------
 
 BinRecordMmapReader::BinRecordMmapReader(const std::string& path) {
@@ -976,8 +929,10 @@ BinRecordMmapReader::BinRecordMmapReader(const void* data, std::size_t size) {
 void BinRecordMmapReader::init(const void* data, std::size_t size) {
   data_ = static_cast<const unsigned char*>(data);
   size_ = size;
-  ok_ = parse_file_header(data_, size_, version_, error_);
+  error_ = file_header_error(data_, size_);
+  ok_ = error_.empty();
   if (!ok_) return;
+  version_ = get_u16le(data_ + 4);
 
   // Footer validation: fixed-width tail at EOF -> entry array -> magic.
   // Any inconsistency degrades to the sequential walk for reading, but
@@ -1008,103 +963,35 @@ void BinRecordMmapReader::init(const void* data, std::size_t size) {
     entry.first_time_s = static_cast<std::int64_t>(get_u64le(e + 8));
     entry.last_time_s = static_cast<std::int64_t>(get_u64le(e + 16));
     entry.record_count = get_u32le(e + 24);
-    entry.kind = e[28] == 0 ? BlockKind::kPing : BlockKind::kTraceroute;
-    if (entry.offset < kBinFileHeaderBytes ||
-        entry.offset + kBinBlockHeaderBytes > footer_start) {
+    // Offsets must strictly ascend: a CRC-consistent list that repeats
+    // or reorders entries would decode a block twice or out of order.
+    if (e[28] > 1 || entry.offset < kBinFileHeaderBytes ||
+        entry.offset + kBinBlockHeaderBytes > footer_start ||
+        (!index_.empty() && entry.offset <= index_.back().offset)) {
       index_.clear();  // poisoned index; fall back to sequential walk
       return;
     }
+    entry.kind = static_cast<BlockKind>(e[28]);
     index_.push_back(entry);
   }
   footer_status_ = FooterStatus::kValid;
 }
 
-void BinRecordMmapReader::decode_at(std::size_t offset,
-                                    const TraceRecordFn& on_trace,
-                                    const PingRecordFn& on_ping) {
-  const unsigned char* h = data_ + offset;
-  if (get_u32le(h) != kBinBlockMagic) {
-    ++counters_.corrupt_blocks;
-    return;
-  }
-  const auto bh = parse_block_header(h);
-  if (!bh.valid ||
-      offset + kBinBlockHeaderBytes + bh.payload_bytes > size_) {
-    ++counters_.corrupt_blocks;
-    return;
-  }
-  const unsigned char* payload = h + kBinBlockHeaderBytes;
-  if (block_crc(h, payload, bh.payload_bytes) != bh.crc) {
-    ++counters_.corrupt_blocks;
-    obs_crc_failures().inc();
-    return;
-  }
-  if (!decode_block(bh.kind, bh.record_count, payload, bh.payload_bytes,
-                    on_trace, on_ping, counters_)) {
-    ++counters_.corrupt_blocks;
-    return;
-  }
-  ++counters_.blocks_read;
-  obs_blocks_read().inc();
-}
-
 void BinRecordMmapReader::read_all_impl(const TraceRecordFn& on_trace,
                                         const PingRecordFn& on_ping) {
-  if (!ok_) return;
-  if (!index_.empty()) {
-    for (const auto& entry : index_) {
-      decode_at(static_cast<std::size_t>(entry.offset), on_trace, on_ping);
-    }
+  if (!ok_ || read_range_impl(std::numeric_limits<std::int64_t>::min(),
+                              std::numeric_limits<std::int64_t>::max(),
+                              on_trace, on_ping)) {
     return;
   }
-  // Sequential walk with resync, mirroring the stream arm exactly.
-  std::size_t pos = kBinFileHeaderBytes;
-  while (pos < size_) {
-    if (pos + 4 > size_) {
-      ++counters_.corrupt_blocks;  // trailing partial magic
-      counters_.truncated = true;
-      return;
-    }
-    const std::uint32_t magic = get_u32le(data_ + pos);
-    if (magic == kBinFooterMagic) {
-      // A footer begins here, yet init() could not validate one (that is
-      // why we are walking): the footer was torn off or mangled. Without
-      // this, truncating a file mid-footer would look like a clean
-      // footerless archive.
-      if (footer_status_ == FooterStatus::kAbsent) {
-        footer_status_ = FooterStatus::kInvalid;
-      }
-      return;
-    }
-    if (magic != kBinBlockMagic) {
-      ++counters_.corrupt_blocks;
-      ++pos;
-      while (pos + 4 <= size_) {
-        const std::uint32_t m = get_u32le(data_ + pos);
-        if (m == kBinBlockMagic || m == kBinFooterMagic) break;
-        ++pos;
-      }
-      if (pos + 4 > size_) return;  // EOF while resyncing
-      continue;
-    }
-    if (pos + kBinBlockHeaderBytes > size_) {
-      ++counters_.corrupt_blocks;  // truncated mid-header
-      counters_.truncated = true;
-      return;
-    }
-    const auto bh = parse_block_header(data_ + pos);
-    if (!bh.valid) {
-      ++counters_.corrupt_blocks;
-      pos += 4;  // keep scanning past the bad header
-      continue;
-    }
-    if (pos + kBinBlockHeaderBytes + bh.payload_bytes > size_) {
-      ++counters_.corrupt_blocks;  // truncated mid-payload
-      counters_.truncated = true;
-      return;
-    }
-    decode_at(pos, on_trace, on_ping);
-    pos += kBinBlockHeaderBytes + bh.payload_bytes;
+  const WalkEnd end = decode_walk(data_, kBinFileHeaderBytes, size_,
+                                  on_trace, on_ping, counters_);
+  // A footer begins where the blocks end, yet init() could not validate
+  // one (that is why we walked): the footer was torn off or mangled.
+  // Without this, truncating a file mid-footer would look like a clean
+  // footerless archive.
+  if (end == WalkEnd::kFooter && footer_status_ == FooterStatus::kAbsent) {
+    footer_status_ = FooterStatus::kInvalid;
   }
 }
 
@@ -1114,7 +1001,12 @@ bool BinRecordMmapReader::read_range_impl(std::int64_t t0_s, std::int64_t t1_s,
   if (!ok_ || index_.empty()) return false;
   for (const auto& entry : index_) {
     if (entry.last_time_s < t0_s || entry.first_time_s > t1_s) continue;
-    decode_at(static_cast<std::size_t>(entry.offset), on_trace, on_ping);
+    const BlockAt b =
+        block_at(data_, size_, entry.offset, /*verify_crc=*/true);
+    if (b.what != BlockAt::What::kBlock ||
+        !decode_block(b, on_trace, on_ping, counters_)) {
+      ++counters_.corrupt_blocks;
+    }
   }
   return true;
 }
@@ -1136,6 +1028,28 @@ bool sniff_binary_header(const unsigned char* data, std::size_t size) {
   if (size < 6 || get_u32le(data) != kBinFileMagic) return false;
   const std::uint16_t version = get_u16le(data + 4);
   return version >= 1 && version <= 255;
+}
+
+/// The binary arm of both ingest seams.
+IngestResult ingest_image(BinRecordMmapReader& reader,
+                          const TraceRecordFn& on_trace,
+                          const PingRecordFn& on_ping) {
+  IngestResult result;
+  result.binary = true;
+  if (!reader.ok()) {
+    result.ok = false;
+    result.error = reader.error();
+    return result;
+  }
+  reader.read_all(on_trace, on_ping);
+  const BinReadCounters& c = reader.counters();
+  result.records = c.records_read;
+  result.blocks_read = c.blocks_read;
+  result.corrupt_blocks = c.corrupt_blocks;
+  result.records_rejected = c.records_rejected;
+  result.truncated = c.truncated;
+  result.footer = reader.footer_status();
+  return result;
 }
 
 }  // namespace
@@ -1160,35 +1074,23 @@ bool is_binary_record_file(const std::string& path) {
 IngestResult read_records_auto(std::istream& in,
                                const TraceRecordFn& on_trace,
                                const PingRecordFn& on_ping) {
-  IngestResult result;
-  std::size_t delivered = 0;
-  const auto count_trace = [&](const probe::TracerouteRecord& r) {
-    ++delivered;
-    on_trace(r);
-  };
-  const auto count_ping = [&](const probe::PingRecord& r) {
-    ++delivered;
-    on_ping(r);
-  };
   if (is_binary_record_stream(in)) {
-    result.binary = true;
-    BinRecordReader reader(in);
-    if (!reader.ok()) {
-      result.ok = false;
-      result.error = reader.error();
-      return result;
-    }
-    reader.read_all(count_trace, count_ping);
-    result.blocks_read = reader.blocks_read();
-    result.corrupt_blocks = reader.corrupt_blocks();
-    result.records_rejected = reader.counters().records_rejected;
-    result.truncated = reader.counters().truncated;
-  } else {
-    RecordReader reader(in);
-    reader.read_all(count_trace, count_ping);
-    result.malformed_lines = reader.errors();
+    const std::string image(std::istreambuf_iterator<char>(in), {});
+    BinRecordMmapReader reader(image.data(), image.size());
+    return ingest_image(reader, on_trace, on_ping);
   }
-  result.records = delivered;
+  IngestResult result;
+  RecordReader reader(in);
+  reader.read_all(
+      [&](const probe::TracerouteRecord& r) {
+        ++result.records;
+        on_trace(r);
+      },
+      [&](const probe::PingRecord& r) {
+        ++result.records;
+        on_ping(r);
+      });
+  result.malformed_lines = reader.errors();
   return result;
 }
 
@@ -1196,42 +1098,20 @@ IngestResult ingest_record_file(const std::string& path,
                                 const TraceRecordFn& on_trace,
                                 const PingRecordFn& on_ping,
                                 bool prefer_mmap) {
-  IngestResult result;
-  std::size_t delivered = 0;
-  const auto count_trace = [&](const probe::TracerouteRecord& r) {
-    ++delivered;
-    on_trace(r);
-  };
-  const auto count_ping = [&](const probe::PingRecord& r) {
-    ++delivered;
-    on_ping(r);
-  };
   if (prefer_mmap && is_binary_record_file(path)) {
-    result.binary = true;
-    result.used_mmap = true;
     BinRecordMmapReader reader(path);
-    if (!reader.ok()) {
-      result.ok = false;
-      result.error = reader.error();
-      return result;
-    }
-    reader.read_all(count_trace, count_ping);
-    result.blocks_read = reader.blocks_read();
-    result.corrupt_blocks = reader.corrupt_blocks();
-    result.records_rejected = reader.counters().records_rejected;
-    result.truncated = reader.counters().truncated;
-    result.footer = reader.footer_status();
-    result.records = delivered;
+    IngestResult result = ingest_image(reader, on_trace, on_ping);
+    result.used_mmap = true;
     return result;
   }
   std::ifstream in(path, std::ios::binary);
   if (!in) {
+    IngestResult result;
     result.ok = false;
     result.error = path + ": open failed";
     return result;
   }
-  result = read_records_auto(in, on_trace, on_ping);
-  return result;
+  return read_records_auto(in, on_trace, on_ping);
 }
 
 }  // namespace s2s::io

@@ -27,10 +27,11 @@
 //
 // The per-block CRC32C covers the header fields after the magic plus the
 // payload, so every damaged block is detected and skipped exactly; the
-// footer index gives O(1) seek to the block covering any epoch. Two
-// reader arms — buffered std::istream and mmap zero-copy — funnel into
-// the same Record callbacks as the text RecordReader, so text and binary
-// archives are drop-in interchangeable at every call site.
+// footer index gives O(1) seek to the block covering any epoch. One
+// binary decoder, BinRecordMmapReader over a mapped or in-memory image,
+// funnels into the same Record callbacks as the text RecordReader, so
+// text and binary archives are drop-in interchangeable at every call
+// site. All block-region readers below share one block walk.
 #pragma once
 
 #include <cstdint>
@@ -93,6 +94,13 @@ struct BlockRef {
 /// missing or unsupported.
 std::optional<std::vector<BlockRef>> scan_blocks(const void* data,
                                                  std::size_t size);
+
+/// Offset just past the block whose header starts at `offset` (no CRC
+/// check); nullopt when no structurally plausible block fits in `size`.
+/// Lets callers holding an index slice or truncate at block edges
+/// without parsing headers themselves.
+std::optional<std::size_t> block_end(const void* data, std::size_t size,
+                                     std::size_t offset);
 
 /// One footer index entry (O(1) seek support: entries are fixed-width
 /// and carry the block's time span).
@@ -248,8 +256,8 @@ RecoverResult recover_archive(const std::string& path);
 using TraceRecordFn = std::function<void(const probe::TracerouteRecord&)>;
 using PingRecordFn = std::function<void(const probe::PingRecord&)>;
 
-/// Counters shared by both reader arms; the text RecordReader's
-/// lines()/errors() analog at block granularity.
+/// Counters of one decode pass (read_all, decode_block_range); the text
+/// RecordReader's lines()/errors() analog at block granularity.
 struct BinReadCounters {
   std::size_t blocks_read = 0;      ///< CRC-verified and decoded
   std::size_t corrupt_blocks = 0;   ///< skipped: bad CRC/header/structure
@@ -275,7 +283,8 @@ std::optional<std::vector<BlockIndexEntry>> index_blocks(const void* data,
 /// ingested the first W bytes re-decodes just the newly sealed tail.
 /// Offsets must be block boundaries (begin_offset may be
 /// kBinFileHeaderBytes for "from the first block"). Damaged blocks are
-/// counted and skipped exactly like read_all.
+/// counted and skipped exactly like read_all's sequential walk; a block
+/// cut by end_offset is torn.
 void decode_block_range(const void* data, std::size_t size,
                         std::size_t begin_offset, std::size_t end_offset,
                         const TraceRecordFn& on_trace,
@@ -285,56 +294,16 @@ void decode_block_range(const void* data, std::size_t size,
 /// Outcome of validating the optional footer index.
 enum class FooterStatus : std::uint8_t {
   kAbsent = 0,   ///< no footer (footerless archive, or file torn before it)
-  kValid = 1,    ///< entry CRC and offsets check out; index walk enabled
+  kValid = 1,    ///< entry CRC, kinds and ascending offsets check out
   kInvalid = 2,  ///< footer present but damaged (CRC/structure mismatch)
 };
 
-/// Buffered std::istream arm. Reads the file header eagerly (ok() /
-/// error() report version problems before any block is touched), then
-/// read_all() walks blocks with bounded memory: one payload buffer,
-/// reused. Damaged blocks are counted and skipped — a corrupted
-/// payload_bytes field triggers a byte-level resync scan to the next
-/// block magic, so one injected fault is detected as exactly one
-/// corrupt block.
-class BinRecordReader {
- public:
-  explicit BinRecordReader(std::istream& in);
-
-  /// False when the stream is not an `.s2sb` file or the version is
-  /// unsupported; read_all() then delivers nothing.
-  bool ok() const noexcept { return ok_; }
-  const std::string& error() const noexcept { return error_; }
-  std::uint16_t version() const noexcept { return version_; }
-
-  template <typename TraceFn, typename PingFn>
-  void read_all(TraceFn&& on_trace, PingFn&& on_ping) {
-    read_all_impl(TraceRecordFn(std::forward<TraceFn>(on_trace)),
-                  PingRecordFn(std::forward<PingFn>(on_ping)));
-  }
-
-  const BinReadCounters& counters() const noexcept { return counters_; }
-  std::size_t blocks_read() const noexcept { return counters_.blocks_read; }
-  std::size_t corrupt_blocks() const noexcept {
-    return counters_.corrupt_blocks;
-  }
-  std::size_t records_read() const noexcept { return counters_.records_read; }
-
- private:
-  void read_all_impl(const TraceRecordFn& on_trace,
-                     const PingRecordFn& on_ping);
-
-  std::istream& in_;
-  bool ok_ = false;
-  std::uint16_t version_ = 0;
-  std::string error_;
-  BinReadCounters counters_;
-};
-
-/// mmap zero-copy arm. Uses the footer index when it validates (exact
-/// per-block offsets survive even header corruption); otherwise falls
-/// back to the same sequential walk as the stream arm, over the mapped
-/// bytes. Column segments are decoded in place — no line strings, no
-/// payload copies.
+/// The binary decoder, over a mapped file or a borrowed in-memory image.
+/// Uses the footer index when it validates (exact per-block offsets
+/// survive even header corruption); otherwise falls back to the
+/// sequential walk, which resyncs past damaged blocks and counts each
+/// one exactly once. Column segments are decoded in place — no line
+/// strings, no payload copies.
 class BinRecordMmapReader {
  public:
   explicit BinRecordMmapReader(const std::string& path);
@@ -391,8 +360,6 @@ class BinRecordMmapReader {
   bool read_range_impl(std::int64_t t0_s, std::int64_t t1_s,
                        const TraceRecordFn& on_trace,
                        const PingRecordFn& on_ping);
-  void decode_at(std::size_t offset, const TraceRecordFn& on_trace,
-                 const PingRecordFn& on_ping);
 
   MmapFile file_;  ///< owns the mapping for the path constructor
   const unsigned char* data_ = nullptr;
@@ -422,7 +389,7 @@ bool is_binary_record_file(const std::string& path);
 /// the binary readers' block counters, whichever arm actually ran.
 struct IngestResult {
   bool binary = false;       ///< which arm ran
-  bool used_mmap = false;    ///< binary arm only
+  bool used_mmap = false;    ///< binary file decoded from its mapping
   bool ok = true;            ///< false: unreadable header/unsupported version
   std::string error;
   std::size_t records = 0;   ///< delivered to callbacks
@@ -431,21 +398,21 @@ struct IngestResult {
   std::size_t corrupt_blocks = 0;    ///< binary arm
   std::size_t records_rejected = 0;  ///< binary arm
   bool truncated = false;            ///< binary arm: EOF hit mid-block
-  /// Binary mmap arm only; the stream arm stops at the footer without
-  /// validating it and leaves kAbsent.
+  /// Binary arm: the image reader's footer_status().
   FooterStatus footer = FooterStatus::kAbsent;
 };
 
 /// Sniffs the format and streams every record to the callbacks: text
-/// lines through io::RecordReader, binary blocks through
-/// io::BinRecordReader. Campaigns, stores, benches and examples all
-/// ingest through this seam, which is what makes the two formats
-/// drop-in interchangeable.
+/// lines through io::RecordReader; a binary stream is read into memory
+/// and decoded by BinRecordMmapReader. Campaigns, stores, benches and
+/// examples all ingest through this seam, which is what makes the two
+/// formats drop-in interchangeable.
 IngestResult read_records_auto(std::istream& in, const TraceRecordFn& on_trace,
                                const PingRecordFn& on_ping);
 
-/// File variant: binary files take the mmap zero-copy arm (set
-/// `prefer_mmap = false` to force the buffered arm), text files stream.
+/// File variant: binary files are decoded from their mapping
+/// (`prefer_mmap = false` reads them through read_records_auto instead),
+/// text files stream.
 IngestResult ingest_record_file(const std::string& path,
                                 const TraceRecordFn& on_trace,
                                 const PingRecordFn& on_ping,

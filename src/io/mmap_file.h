@@ -1,4 +1,4 @@
-// Read-only memory-mapped file, the zero-copy arm of BinRecordReader.
+// Read-only memory-mapped file, the zero-copy input of BinRecordMmapReader.
 //
 // On POSIX this is open + fstat + mmap(PROT_READ, MAP_PRIVATE); the block
 // decoder then iterates column segments in place without materializing

@@ -9,17 +9,6 @@
 
 namespace s2s::live {
 
-namespace {
-
-std::uint32_t get_u32le(const unsigned char* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
-}  // namespace
-
 OpenShardWriter::OpenShardWriter(const std::string& path,
                                  const OpenShardConfig& config)
     : path_(path) {
@@ -86,11 +75,8 @@ std::unique_ptr<OpenShardWriter> OpenShardWriter::resume(
       // The block region may end before sealed_bytes when finish()
       // already appended a footer; strip it so appending continues the
       // block stream.
-      const auto* bytes = static_cast<const unsigned char*>(map.data());
-      const auto& last = index.back();
-      blocks_end = static_cast<std::size_t>(last.offset) +
-                   io::kBinBlockHeaderBytes +
-                   get_u32le(bytes + last.offset + 8);
+      const auto last = static_cast<std::size_t>(index.back().offset);
+      blocks_end = *io::block_end(map.data(), map.size(), last);
     }
   }
   if (::truncate(path.c_str(), static_cast<off_t>(blocks_end)) != 0) {

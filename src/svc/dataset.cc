@@ -11,7 +11,6 @@
 #include "core/dualstack.h"
 #include "io/crc32c.h"
 #include "io/mmap_file.h"
-#include "io/varint.h"
 #include "net/asn.h"
 #include "probe/campaign.h"
 #include "stats/summary.h"
@@ -187,8 +186,7 @@ bool Dataset::load(std::string& error) {
         const std::int64_t e = net::grid_epoch(r.time, config_.ping_start_day,
                                                config_.ping_interval_s);
         if (e > max_ping_epoch) max_ping_epoch = e;
-      },
-      config_.prefer_mmap);
+      });
   if (!scan.ok) {
     error = "archive unreadable: " + scan.error;
     return false;
@@ -207,8 +205,7 @@ bool Dataset::load(std::string& error) {
   auto ingest = io::ingest_record_file(
       config_.archive_path,
       [&](const probe::TracerouteRecord& r) { timelines->add(r); },
-      [&](const probe::PingRecord& r) { pings->add(r); },
-      config_.prefer_mmap);
+      [&](const probe::PingRecord& r) { pings->add(r); });
   if (!ingest.ok) {
     error = "archive unreadable: " + ingest.error;
     return false;
@@ -453,13 +450,11 @@ Dataset::ArchiveSlice Dataset::archive_slice(std::int64_t t0_s,
                          io::kBinFileHeaderBytes);
   for (const io::BlockIndexEntry& entry : mmap_->index()) {
     if (entry.last_time_s < t0_s || entry.first_time_s > t1_s) continue;
-    const std::size_t off = static_cast<std::size_t>(entry.offset);
-    if (off + io::kBinBlockHeaderBytes > size) continue;  // defensive
-    const std::uint32_t payload_bytes = io::get_u32le(data + off + 8);
-    const std::size_t block_bytes = io::kBinBlockHeaderBytes + payload_bytes;
-    if (off + block_bytes > size) continue;
+    const auto off = static_cast<std::size_t>(entry.offset);
+    const auto end = io::block_end(data, size, off);
+    if (!end) continue;  // defensive: the index validated at load
     out.blocks.emplace_back(reinterpret_cast<const char*>(data + off),
-                            block_bytes);
+                            *end - off);
     out.records += entry.record_count;
   }
   out.bytes = out.file_header.size();

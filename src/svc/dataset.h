@@ -72,8 +72,6 @@ struct DatasetConfig {
   /// Congestion verdicts require this fraction of the grid to be valid
   /// (scales the paper's ">= 600 of 672" to the archive's actual epochs).
   double detect_min_fraction = 0.6;
-
-  bool prefer_mmap = true;
 };
 
 class Dataset {
@@ -189,7 +187,7 @@ class Dataset {
   std::unique_ptr<core::TimelineStore> timelines_;
   std::unique_ptr<core::PingSeriesStore> pings_;
   /// Retained mmap of the archive for zero-copy slicing; null when the
-  /// archive is text, footerless, or was read through the stream arm.
+  /// archive is text, footerless, or its footer failed validation.
   std::shared_ptr<const io::BinRecordMmapReader> mmap_;
   std::uint64_t digest_ = 0;
   /// Raw halves of the digest, kept so clone_advanced() can continue the

@@ -1,8 +1,9 @@
 // Round-trip property tests for the `.s2sb` binary columnar format:
 // every record sequence must survive write -> read bit-exact through
-// both reader arms (buffered stream and mmap/in-memory), and a binary
-// archive must be analysis-equivalent to the text archive of the same
-// records — identical DataQualityReports, identical store contents.
+// every decode path (the istream seam, the footer index and the
+// sequential block walk), and a binary archive must be
+// analysis-equivalent to the text archive of the same records —
+// identical DataQualityReports, identical store contents.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -187,15 +188,31 @@ struct Collected {
   std::vector<PingRecord> pings;
 };
 
+/// The istream seam: read_records_auto buffers the bytes and decodes
+/// them with the image reader.
 Collected collect_stream(const std::string& image,
-                         io::BinReadCounters* counters = nullptr) {
+                         io::IngestResult* result = nullptr) {
   Collected c;
   std::istringstream in(image, std::ios::binary);
-  io::BinRecordReader reader(in);
-  EXPECT_TRUE(reader.ok()) << reader.error();
-  reader.read_all([&](const TracerouteRecord& r) { c.traces.push_back(r); },
-                  [&](const PingRecord& r) { c.pings.push_back(r); });
-  if (counters != nullptr) *counters = reader.counters();
+  const auto r = io::read_records_auto(
+      in, [&](const TracerouteRecord& t) { c.traces.push_back(t); },
+      [&](const PingRecord& p) { c.pings.push_back(p); });
+  EXPECT_TRUE(r.binary);
+  EXPECT_TRUE(r.ok) << r.error;
+  if (result != nullptr) *result = r;
+  return c;
+}
+
+/// The sequential block walk over the whole block region, footer or not.
+Collected collect_walk(const std::string& image,
+                       io::BinReadCounters* counters = nullptr) {
+  Collected c;
+  io::BinReadCounters got;
+  io::decode_block_range(
+      image.data(), image.size(), io::kBinFileHeaderBytes, image.size(),
+      [&](const TracerouteRecord& r) { c.traces.push_back(r); },
+      [&](const PingRecord& r) { c.pings.push_back(r); }, got);
+  if (counters != nullptr) *counters = got;
   return c;
 }
 
@@ -251,13 +268,14 @@ TEST(BinRecRtt, BoundariesAndInvalids) {
 
 TEST(BinRecRoundTrip, StreamArmIsBitExact) {
   const auto g = generate(101, 3000);
-  io::BinReadCounters counters;
-  const auto got = collect_stream(g.image, &counters);
+  io::IngestResult result;
+  const auto got = collect_stream(g.image, &result);
   expect_same_sequence(g.traces, got.traces);
   expect_same_sequence(g.pings, got.pings);
-  EXPECT_EQ(counters.corrupt_blocks, 0u);
-  EXPECT_EQ(counters.records_rejected, 0u);
-  EXPECT_EQ(counters.records_read, g.traces.size() + g.pings.size());
+  EXPECT_EQ(result.corrupt_blocks, 0u);
+  EXPECT_EQ(result.records_rejected, 0u);
+  EXPECT_EQ(result.records, g.traces.size() + g.pings.size());
+  EXPECT_EQ(result.footer, io::FooterStatus::kValid);
 }
 
 TEST(BinRecRoundTrip, MmapArmIsBitExact) {
@@ -274,7 +292,7 @@ TEST(BinRecRoundTrip, ArmsAgreeOnEveryBlockSize) {
     const auto g =
         generate(303 + block_records, 500,
                  io::BinWriterConfig{.block_records = block_records});
-    const auto s = collect_stream(g.image);
+    const auto s = collect_walk(g.image);
     const auto m = collect_mmap(g.image);
     expect_same_sequence(g.traces, s.traces);
     expect_same_sequence(g.pings, s.pings);
@@ -291,7 +309,7 @@ TEST(BinRecRoundTrip, FooterlessArchiveFallsBackToSequentialWalk) {
   io::BinRecordMmapReader footerless(g.image.data(), g.image.size());
   EXPECT_TRUE(footerless.ok());
   EXPECT_FALSE(footerless.has_index());
-  const auto s = collect_stream(g.image);
+  const auto s = collect_walk(g.image);
   const auto m = collect_mmap(g.image);
   expect_same_sequence(g.traces, s.traces);
   expect_same_sequence(g.pings, s.pings);
@@ -310,7 +328,7 @@ TEST(BinRecRoundTrip, EmptyArchive) {
   const std::string image = out.str();
   EXPECT_EQ(image.size(),
             io::kBinFileHeaderBytes + 4 + io::kBinFooterTailBytes);
-  const auto s = collect_stream(image);
+  const auto s = collect_walk(image);
   const auto m = collect_mmap(image);
   EXPECT_TRUE(s.traces.empty() && s.pings.empty());
   EXPECT_TRUE(m.traces.empty() && m.pings.empty());
@@ -338,7 +356,7 @@ TEST(BinRecRoundTrip, CraftedEmptyBlockIsValid) {
   image += header;
 
   io::BinReadCounters sc, mc;
-  const auto s = collect_stream(image, &sc);
+  const auto s = collect_walk(image, &sc);
   const auto m = collect_mmap(image, &mc);
   EXPECT_TRUE(s.traces.empty() && s.pings.empty());
   EXPECT_TRUE(m.traces.empty() && m.pings.empty());
@@ -350,14 +368,12 @@ TEST(BinRecRoundTrip, CraftedEmptyBlockIsValid) {
 
 TEST(BinRecRoundTrip, NotAnArchive) {
   const std::string text = "T\tnot\tbinary\n";
-  std::istringstream in(text, std::ios::binary);
-  io::BinRecordReader reader(in);
-  EXPECT_FALSE(reader.ok());
   io::BinRecordMmapReader mm(text.data(), text.size());
   EXPECT_FALSE(mm.ok());
-  std::istringstream empty(std::string(), std::ios::binary);
-  io::BinRecordReader empty_reader(empty);
-  EXPECT_FALSE(empty_reader.ok());
+  EXPECT_FALSE(io::scan_blocks(text.data(), text.size()));
+  EXPECT_FALSE(io::index_blocks(text.data(), text.size()));
+  io::BinRecordMmapReader empty(text.data(), 0);
+  EXPECT_FALSE(empty.ok());
 }
 
 // -- footer index and O(1) epoch seek ---------------------------------------
@@ -586,8 +602,7 @@ TEST(BinRecInterchange, StoresProduceIdenticalQualityReportsFromEitherFormat) {
                        [&](const PingRecord& r) { text_ps.add(r); });
   EXPECT_EQ(text_reader.errors(), 0u);
 
-  std::istringstream bin_in(g.image, std::ios::binary);
-  io::BinRecordReader bin_reader(bin_in);
+  io::BinRecordMmapReader bin_reader(g.image.data(), g.image.size());
   ASSERT_TRUE(bin_reader.ok());
   bin_reader.read_all([&](const TracerouteRecord& r) { bin_seg.add(r); },
                       [&](const PingRecord& r) { bin_ps.add(r); });

@@ -1,6 +1,8 @@
 // Corruption matrix for the `.s2sb` format: BlockCorruptor drives every
-// fault class over every block position, and both reader arms must skip
-// exactly the damaged blocks — no crash, no silent wrong record, and
+// fault class over every block position, and both decode paths — the
+// reader (footer index when it validates) and the sequential block walk
+// (decode_block_range over the whole image) — must skip exactly the
+// damaged blocks: no crash, no silent wrong record, and
 // injected-vs-detected counts exactly equal. Runs under ASan/UBSan and
 // TSan in CI (the io label).
 #include <gtest/gtest.h>
@@ -14,6 +16,8 @@
 #include "core/data_quality.h"
 #include "faultsim/block_corruptor.h"
 #include "io/binrec.h"
+#include "io/crc32c.h"
+#include "io/varint.h"
 #include "stats/rng.h"
 
 namespace s2s {
@@ -72,15 +76,18 @@ struct ReadOutcome {
   bool ok = false;
 };
 
-ReadOutcome read_stream(const std::string& image) {
+/// The sequential walk, plus the strict indexer: index_blocks must
+/// refuse an image exactly when the walk found damage.
+ReadOutcome read_walk(const std::string& image) {
   ReadOutcome o;
-  std::istringstream in(image, std::ios::binary);
-  io::BinRecordReader reader(in);
-  o.ok = reader.ok();
+  o.ok = io::BinRecordMmapReader(image.data(), image.size()).ok();
   if (!o.ok) return o;
-  reader.read_all([](const TracerouteRecord&) {},
-                  [&](const PingRecord& r) { o.pings.push_back(r); });
-  o.counters = reader.counters();
+  io::decode_block_range(image.data(), image.size(), io::kBinFileHeaderBytes,
+                         image.size(), [](const TracerouteRecord&) {},
+                         [&](const PingRecord& r) { o.pings.push_back(r); },
+                         o.counters);
+  const bool clean = o.counters.corrupt_blocks == 0 && !o.counters.truncated;
+  EXPECT_EQ(io::index_blocks(image.data(), image.size()).has_value(), clean);
   return o;
 }
 
@@ -129,7 +136,7 @@ TEST_P(BinRecCorruptionMatrix, ExactlyTheDamagedBlockIsSkipped) {
 
     for (const bool use_mmap : {false, true}) {
       const auto got =
-          use_mmap ? read_mmap(damaged) : read_stream(damaged);
+          use_mmap ? read_mmap(damaged) : read_walk(damaged);
       ASSERT_TRUE(got.ok);
       // Injected == detected, exactly.
       EXPECT_EQ(got.counters.corrupt_blocks, 1u)
@@ -177,7 +184,7 @@ TEST(BinRecCorruption, TruncationLosesTailExactly) {
     EXPECT_EQ(corruptor.stats().records_lost, (kEpochs - target) * 25);
 
     for (const bool use_mmap : {false, true}) {
-      const auto got = use_mmap ? read_mmap(damaged) : read_stream(damaged);
+      const auto got = use_mmap ? read_mmap(damaged) : read_walk(damaged);
       ASSERT_TRUE(got.ok);
       // The torn block is one corrupt block; later blocks are simply gone.
       EXPECT_EQ(got.counters.corrupt_blocks, 1u)
@@ -191,14 +198,14 @@ TEST(BinRecCorruption, TruncationLosesTailExactly) {
 TEST(BinRecCorruption, TruncationSetsTheTornFlag) {
   const auto archive = make_ping_archive(81, 5, 25);
   // Clean archives are not torn.
-  EXPECT_FALSE(read_stream(archive.image).counters.truncated);
+  EXPECT_FALSE(read_walk(archive.image).counters.truncated);
   EXPECT_FALSE(read_mmap(archive.image).counters.truncated);
 
   BlockCorruptor corruptor(BlockCorruptorConfig{.seed = 17});
   const auto damaged =
       corruptor.apply(archive.image, BlockFault::kTruncateMidBlock, 2);
   for (const bool use_mmap : {false, true}) {
-    const auto got = use_mmap ? read_mmap(damaged) : read_stream(damaged);
+    const auto got = use_mmap ? read_mmap(damaged) : read_walk(damaged);
     ASSERT_TRUE(got.ok);
     EXPECT_TRUE(got.counters.truncated) << "mmap=" << use_mmap;
   }
@@ -273,6 +280,62 @@ TEST(BinRecCorruption, DamagedFooterIsInvalidNotMerelyAbsent) {
   EXPECT_EQ(result.records, archive.total);
 }
 
+/// Replaces a sealed archive's footer entries and re-seals the tail, so
+/// the entries CRC stays consistent with whatever the entries now say.
+std::string reseal_footer(const std::string& image, std::size_t old_entries,
+                          const std::string& entries) {
+  const std::size_t entries_at = image.size() - io::kBinFooterTailBytes -
+                                 old_entries * io::kBinFooterEntryBytes;
+  std::string out = image.substr(0, entries_at) + entries;
+  io::put_u32le(out, static_cast<std::uint32_t>(entries.size() /
+                                                io::kBinFooterEntryBytes));
+  io::put_u32le(out, io::crc32c(entries.data(), entries.size()));
+  io::put_u64le(out, io::kBinEofMagic);
+  return out;
+}
+
+TEST(BinRecCorruption, CrcConsistentButIllFormedFooterIsInvalid) {
+  // 8 records in 2 blocks.
+  const auto archive = make_ping_archive(83, 2, 4);
+  const std::string entries = archive.image.substr(
+      archive.image.size() - io::kBinFooterTailBytes -
+          2 * io::kBinFooterEntryBytes,
+      2 * io::kBinFooterEntryBytes);
+  const std::string first = entries.substr(0, io::kBinFooterEntryBytes);
+  std::string bad_kind = entries;
+  bad_kind[28] = 2;  // entry 0's kind byte
+
+  // A repeated entry would decode its block twice, reordered entries
+  // would deliver blocks out of archive order, and a kind byte other
+  // than 0 or 1 names no block kind. Either way the footer is invalid
+  // and the sequential walk reads every record exactly once.
+  for (const std::string& forged :
+       {reseal_footer(archive.image, 2, entries + first),
+        reseal_footer(archive.image, 2,
+                      entries.substr(io::kBinFooterEntryBytes) + first),
+        reseal_footer(archive.image, 2, bad_kind)}) {
+    io::BinRecordMmapReader reader(forged.data(), forged.size());
+    ASSERT_TRUE(reader.ok());
+    EXPECT_EQ(reader.footer_status(), io::FooterStatus::kInvalid);
+    EXPECT_FALSE(reader.has_index());
+    const auto got = read_mmap(forged);
+    EXPECT_EQ(got.pings.size(), 8u);
+    EXPECT_EQ(got.counters.blocks_read, 2u);
+    EXPECT_EQ(got.counters.corrupt_blocks, 0u);
+  }
+
+  const std::string path = ::testing::TempDir() + "/binrec_dup_footer.s2sb";
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << reseal_footer(archive.image, 2, entries + first);
+  }
+  const auto result = io::ingest_record_file(
+      path, [](const TracerouteRecord&) {}, [](const PingRecord&) {});
+  ASSERT_TRUE(result.ok);
+  EXPECT_EQ(result.footer, io::FooterStatus::kInvalid);
+  EXPECT_EQ(result.records, 8u);
+}
+
 TEST(BinRecCorruption, StaleVersionIsRejectedUpFront) {
   const auto archive = make_ping_archive(99, 4, 20);
   BlockCorruptor corruptor;
@@ -281,7 +344,7 @@ TEST(BinRecCorruption, StaleVersionIsRejectedUpFront) {
   EXPECT_EQ(corruptor.stats().stale_versions, 1u);
   EXPECT_EQ(corruptor.stats().records_lost, archive.total);
 
-  const auto s = read_stream(damaged);
+  const auto s = read_walk(damaged);
   EXPECT_FALSE(s.ok);
   const auto m = read_mmap(damaged);
   EXPECT_FALSE(m.ok);
@@ -299,7 +362,7 @@ TEST(BinRecCorruption, StochasticManglePreservesExactAccounting) {
     EXPECT_EQ(stats.blocks, 12u);
 
     for (const bool use_mmap : {false, true}) {
-      const auto got = use_mmap ? read_mmap(damaged) : read_stream(damaged);
+      const auto got = use_mmap ? read_mmap(damaged) : read_walk(damaged);
       ASSERT_TRUE(got.ok);
       EXPECT_EQ(got.counters.corrupt_blocks, stats.corrupted)
           << "seed=" << seed << " mmap=" << use_mmap;
@@ -354,7 +417,7 @@ TEST(BinRecCorruption, ArbitraryByteFlipsNeverCrashEitherArm) {
     }
     if (rng.chance(0.25)) damaged.resize(rng.below(damaged.size() + 1));
 
-    const auto s = read_stream(damaged);
+    const auto s = read_walk(damaged);
     const auto m = read_mmap(damaged);
     if (s.ok) EXPECT_LE(s.pings.size(), archive.total);
     if (m.ok) EXPECT_LE(m.pings.size(), archive.total);

@@ -485,7 +485,7 @@ TEST(ChaosCampaign, PingQualityCountersMatchInjectedFaultsExactly) {
 // ---------------------------------------------------------------------------
 // Binary-archive chaos: the campaign persisted as `.s2sb`, damaged at the
 // block layer by BlockCorruptor, must lose exactly the corrupted blocks —
-// both reader arms agree with the injector's accounting, and the stores
+// both decode paths agree with the injector's accounting, and the stores
 // fed from the damaged archive still produce finite analyses.
 // ---------------------------------------------------------------------------
 
@@ -530,6 +530,8 @@ TEST(ChaosCampaign, BinaryArchiveBlockCorruptionDetectedExactly) {
       };
       const auto ping_sink = [](const probe::PingRecord&) {};
 
+      // Both decode paths: the footer index (the reader) and the
+      // sequential block walk over the whole block region.
       io::BinReadCounters counters;
       if (use_mmap) {
         io::BinRecordMmapReader reader(damaged.data(), damaged.size());
@@ -537,11 +539,9 @@ TEST(ChaosCampaign, BinaryArchiveBlockCorruptionDetectedExactly) {
         reader.read_all(trace_sink, ping_sink);
         counters = reader.counters();
       } else {
-        std::istringstream in(damaged, std::ios::binary);
-        io::BinRecordReader reader(in);
-        ASSERT_TRUE(reader.ok());
-        reader.read_all(trace_sink, ping_sink);
-        counters = reader.counters();
+        io::decode_block_range(damaged.data(), damaged.size(),
+                               io::kBinFileHeaderBytes, damaged.size(),
+                               trace_sink, ping_sink, counters);
       }
 
       // Exact agreement between injected and detected block damage.

@@ -1,8 +1,8 @@
 // Golden-figure regression: hexfloat digests of the Fig 2 / Fig 5 / Fig 9
 // study outputs, checked against the corpus in tests/golden/. The same
 // campaign is ingested through all three record paths — text
-// (RecordReader), binary stream (BinRecordReader) and binary mmap
-// (BinRecordMmapReader) — and analysed at 1 and 8 threads; every
+// (RecordReader), a binary istream (read_records_auto) and a mapped
+// binary file (BinRecordMmapReader) — and analysed at 1 and 8 threads; every
 // combination must produce the byte-identical digest. Hexfloat ("%a")
 // formatting makes the digest sensitive to a single ULP of drift anywhere
 // in the ingest or analysis chain.
@@ -258,9 +258,9 @@ void ingest_image(Ingest path, const std::string& text,
     }
     case Ingest::kBinaryStream: {
       std::istringstream in(bin, std::ios::binary);
-      io::BinRecordReader reader(in);
-      ASSERT_TRUE(reader.ok());
-      reader.read_all(sink, ping_sink);
+      const auto result = io::read_records_auto(in, sink, ping_sink);
+      ASSERT_TRUE(result.binary);
+      ASSERT_TRUE(result.ok);
       return;
     }
     case Ingest::kBinaryMmap: {

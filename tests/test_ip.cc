@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
 #include <unordered_set>
 
@@ -66,10 +67,15 @@ TEST(IPv6Addr, RejectsMalformed) {
 }
 
 // RFC 5952 canonical text: longest zero run compressed, lower case.
+// Cases print as their name: gtest's default would dump the raw string
+// pointers, which change from run to run and so would the discovered
+// ctest names.
 struct V6Case {
+  const char* name;
   const char* input;
   const char* canonical;
 };
+void PrintTo(const V6Case& c, std::ostream* os) { *os << c.name; }
 class IPv6Canonical : public ::testing::TestWithParam<V6Case> {};
 
 TEST_P(IPv6Canonical, RoundTrips) {
@@ -86,14 +92,15 @@ TEST_P(IPv6Canonical, RoundTrips) {
 INSTANTIATE_TEST_SUITE_P(
     Rfc5952, IPv6Canonical,
     ::testing::Values(
-        V6Case{"2001:db8:0:0:0:0:0:1", "2001:db8::1"},
-        V6Case{"2001:0db8:0000:0001:0000:0000:0000:0001", "2001:db8:0:1::1"},
-        V6Case{"0:0:0:0:0:0:0:0", "::"},
-        V6Case{"0:0:0:0:0:0:0:1", "::1"},
-        V6Case{"1:0:0:2:0:0:0:3", "1:0:0:2::3"},   // longest run wins
-        V6Case{"fe80:0:0:0:1:0:0:1", "fe80::1:0:0:1"},
-        V6Case{"1:2:3:4:5:6:7:8", "1:2:3:4:5:6:7:8"},
-        V6Case{"0:1:0:1:0:1:0:1", "0:1:0:1:0:1:0:1"}));  // no run >= 2
+        V6Case{"TrailingRun", "2001:db8:0:0:0:0:0:1", "2001:db8::1"},
+        V6Case{"LeadingZeros", "2001:0db8:0000:0001:0000:0000:0000:0001",
+               "2001:db8:0:1::1"},
+        V6Case{"Unspecified", "0:0:0:0:0:0:0:0", "::"},
+        V6Case{"Loopback", "0:0:0:0:0:0:0:1", "::1"},
+        V6Case{"LongestRunWins", "1:0:0:2:0:0:0:3", "1:0:0:2::3"},
+        V6Case{"LinkLocal", "fe80:0:0:0:1:0:0:1", "fe80::1:0:0:1"},
+        V6Case{"NoZeros", "1:2:3:4:5:6:7:8", "1:2:3:4:5:6:7:8"},
+        V6Case{"NoRunOfTwo", "0:1:0:1:0:1:0:1", "0:1:0:1:0:1:0:1"}));
 
 TEST(IPAddr, DispatchesByFamily) {
   const auto v4 = IPAddr::parse("10.1.2.3");
