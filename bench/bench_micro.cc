@@ -32,6 +32,7 @@
 #include "routing/valley_free.h"
 #include "simnet/network.h"
 #include "stats/fft.h"
+#include "stats/rng.h"
 #include "topology/generator.h"
 
 namespace {
@@ -70,16 +71,38 @@ void BM_ValleyFreeCompute(benchmark::State& state) {
 }
 BENCHMARK(BM_ValleyFreeCompute);
 
+/// Arg 4: IPv4 addresses swept across the plan. Arg 6: IPv6 addresses
+/// with random host bits inside the announced v6 prefixes.
 void BM_RibLongestPrefixMatch(benchmark::State& state) {
-  const auto rib = bgp::Rib::from_topology(shared_topology());
-  std::uint32_t addr = 0x01010001;
+  const auto& topo = shared_topology();
+  const auto rib = bgp::Rib::from_topology(topo);
+  if (state.range(0) == 4) {
+    std::uint32_t addr = 0x01010001;
+    for (auto _ : state) {
+      benchmark::DoNotOptimize(rib.origin(net::IPv4Addr(addr)));
+      addr += 0x00010007;  // walk across prefixes
+      if (addr > 0x20000000) addr = 0x01010001;
+    }
+    return;
+  }
+  std::vector<net::IPv6Addr> probes;
+  stats::Rng rng(6);
+  for (std::size_t i = 0; i < 4096 && !topo.prefixes6.empty(); ++i) {
+    const auto& p = topo.prefixes6[i % topo.prefixes6.size()].prefix;
+    const int len = p.length();
+    const std::uint64_t host_hi = len >= 64 ? 0 : ~0ull >> len;
+    const std::uint64_t host_lo = len <= 64 ? ~0ull : ~0ull >> (len - 64);
+    probes.push_back(
+        net::IPv6Addr::from_halves(p.address().hi() | (rng() & host_hi),
+                                   p.address().lo() | (rng() & host_lo)));
+  }
+  std::size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(rib.origin(net::IPv4Addr(addr)));
-    addr += 0x00010007;  // walk across prefixes
-    if (addr > 0x20000000) addr = 0x01010001;
+    benchmark::DoNotOptimize(rib.origin(probes[i]));
+    i = (i + 1) % probes.size();
   }
 }
-BENCHMARK(BM_RibLongestPrefixMatch);
+BENCHMARK(BM_RibLongestPrefixMatch)->Arg(4)->Arg(6);
 
 void BM_EditDistance(benchmark::State& state) {
   const auto len = static_cast<std::size_t>(state.range(0));
@@ -363,7 +386,9 @@ int main(int argc, char** argv) {
   const double survey_1t = reporter.seconds_per_iter("BM_SurveyCongestion/1");
   const double survey_2t = reporter.seconds_per_iter("BM_SurveyCongestion/2");
   const double survey_8t = reporter.seconds_per_iter("BM_SurveyCongestion/8");
-  if (off_s <= 0.0 && survey_1t <= 0.0) return 0;  // all filtered out
+  const double lpm4_s = reporter.seconds_per_iter("BM_RibLongestPrefixMatch/4");
+  const double lpm6_s = reporter.seconds_per_iter("BM_RibLongestPrefixMatch/6");
+  if (off_s <= 0.0 && survey_1t <= 0.0 && lpm4_s <= 0.0) return 0;
 
   const auto snapshot = obs::MetricsRegistry::global().snapshot();
   obs::json::Writer w;
@@ -384,6 +409,14 @@ int main(int argc, char** argv) {
       w.key("rtt_ms_p99");
       w.value(hist->second.quantile(0.99));
     }
+  }
+  if (lpm4_s > 0.0 && lpm6_s > 0.0) {
+    // Per-lookup IP -> origin-AS cost, the per-hop price of AS-path
+    // inference.
+    w.key("rib_lpm_ns_v4");
+    w.value(lpm4_s * 1e9);
+    w.key("rib_lpm_ns_v6");
+    w.value(lpm6_s * 1e9);
   }
   if (text_s > 0.0) {
     // Archive-format speedups: whole-archive decode time relative to the

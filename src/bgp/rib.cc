@@ -13,18 +13,6 @@ Rib Rib::from_topology(const topology::Topology& topo) {
   return rib;
 }
 
-std::optional<net::Asn> Rib::origin(net::IPv4Addr addr) const {
-  const auto v = trie4_.lookup(addr);
-  if (!v) return std::nullopt;
-  return net::Asn(*v);
-}
-
-std::optional<net::Asn> Rib::origin(const net::IPv6Addr& addr) const {
-  const auto v = trie6_.lookup(addr);
-  if (!v) return std::nullopt;
-  return net::Asn(*v);
-}
-
 std::optional<net::Asn> Rib::origin(const net::IPAddr& addr) const {
   return addr.is_v4() ? origin(addr.v4()) : origin(addr.v6());
 }

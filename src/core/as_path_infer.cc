@@ -1,6 +1,6 @@
 #include "core/as_path_infer.h"
 
-#include <unordered_set>
+#include <algorithm>
 
 namespace s2s::core {
 
@@ -8,11 +8,12 @@ InferredPath AsPathInferrer::infer(const probe::TracerouteRecord& record,
                                    net::Asn src_asn) const {
   InferredPath out;
 
-  // Token per hop: the mapped ASN, or kUnknownAsn for a gap. Track the two
-  // gap causes separately for the Table 1 quality class.
+  // Token per hop, built in place in the output path: the mapped ASN, or
+  // kUnknownAsn for a gap. Track the two gap causes separately for the
+  // Table 1 quality class.
   bool any_unresponsive = false;
   bool any_unmapped = false;
-  std::vector<net::Asn> tokens;
+  net::AsPath& tokens = out.as_path;
   tokens.reserve(record.hops.size() + 1);
   tokens.push_back(src_asn);  // the probing host itself
   for (const auto& hop : record.hops) {
@@ -51,20 +52,14 @@ InferredPath AsPathInferrer::infer(const probe::TracerouteRecord& record,
 
   // Collapse consecutive duplicates (runs of kUnknownAsn also collapse to
   // one gap marker).
-  for (const net::Asn& asn : tokens) {
-    if (out.as_path.empty() || out.as_path.back() != asn) {
-      out.as_path.push_back(asn);
-    }
-  }
+  tokens.erase(std::unique(tokens.begin(), tokens.end()), tokens.end());
 
-  // AS loop: a known ASN re-appears after the path left it.
-  std::unordered_set<std::uint32_t> seen;
-  for (const net::Asn& asn : out.as_path) {
-    if (!asn.known()) continue;
-    if (!seen.insert(asn.value()).second) {
-      out.has_as_loop = true;
-      break;
-    }
+  // AS loop: a known ASN re-appears after the path left it. Collapsed
+  // paths are a handful of ASes long, so a scan of the prefix beats
+  // building a set per traceroute.
+  for (auto it = tokens.begin(); it != tokens.end() && !out.has_as_loop;
+       ++it) {
+    out.has_as_loop = it->known() && std::find(tokens.begin(), it, *it) != it;
   }
   return out;
 }

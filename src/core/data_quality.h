@@ -15,7 +15,6 @@
 #include <map>
 #include <string>
 #include <string_view>
-#include <unordered_set>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -29,6 +28,9 @@ struct DataQualityReport {
   std::size_t duplicates_dropped = 0;  ///< exact re-delivery, dropped
   std::size_t reordered = 0;       ///< accepted behind a later epoch
   std::size_t out_of_grid = 0;     ///< timestamp off the campaign grid
+  /// Server id outside the deployment or beyond the pair key's dst
+  /// field (core/pair_key.h), dropped: it would alias another pair.
+  std::size_t unknown_server = 0;
   std::size_t insufficient_epochs = 0;  ///< missing epochs in dropped series
   std::size_t insufficient_series = 0;  ///< pairs below the min-sample bar
   std::size_t interpolated_samples = 0;  ///< gap-filled slots in assessed series
@@ -39,7 +41,8 @@ struct DataQualityReport {
   /// Records affected by any fault class (insufficient series excluded:
   /// those are series-level, not record-level).
   std::size_t records_affected() const noexcept {
-    return invalid_rtt + duplicates_dropped + reordered + out_of_grid;
+    return invalid_rtt + duplicates_dropped + reordered + out_of_grid +
+           unknown_server;
   }
 
   DataQualityReport& merge(const DataQualityReport& o) noexcept {
@@ -47,6 +50,7 @@ struct DataQualityReport {
     duplicates_dropped += o.duplicates_dropped;
     reordered += o.reordered;
     out_of_grid += o.out_of_grid;
+    unknown_server += o.unknown_server;
     insufficient_epochs += o.insufficient_epochs;
     insufficient_series += o.insufficient_series;
     interpolated_samples += o.interpolated_samples;
@@ -70,6 +74,7 @@ struct IngestObs {
   obs::Counter drop_invalid_rtt;
   obs::Counter drop_duplicates;
   obs::Counter drop_out_of_grid;
+  obs::Counter drop_unknown_server;
   obs::Counter reordered;          ///< accepted, but behind the watermark
   obs::Histogram rtt_ms;           ///< accepted end-to-end RTTs
 
@@ -87,34 +92,34 @@ bool valid_record(const probe::PingRecord& r);
 std::uint64_t fingerprint(const probe::TracerouteRecord& r);
 std::uint64_t fingerprint(const probe::PingRecord& r);
 
-/// Sliding window of recently seen record fingerprints. Re-delivered
-/// records in long campaign streams arrive close to the original (dup
-/// ACK-style retransmissions, log replays), so a bounded window catches
-/// them in O(1) without retaining the whole stream.
+/// Sliding window of the last `capacity` distinct record fingerprints.
+/// Re-delivered records in long campaign streams arrive close to the
+/// original (dup ACK-style retransmissions, log replays), so a bounded
+/// window catches them in O(1) without retaining the whole stream. The
+/// ring holds the window in arrival order; a flat open-addressed table
+/// of ring positions (linear probing, at most half full) indexes it, and
+/// eviction deletes by backward shift, so no tombstones build up.
 class DedupWindow {
  public:
-  explicit DedupWindow(std::size_t capacity = 4096)
-      : ring_(capacity, 0), capacity_(capacity) {}
+  explicit DedupWindow(std::size_t capacity = 4096);
 
-  /// True iff `fp` was seen within the window; otherwise records it.
-  bool seen_or_insert(std::uint64_t fp) {
-    if (set_.contains(fp)) return true;
-    if (size_ == capacity_) {
-      set_.erase(ring_[head_]);
-    } else {
-      ++size_;
-    }
-    ring_[head_] = fp;
-    set_.insert(fp);
-    head_ = (head_ + 1) % capacity_;
-    return false;
-  }
+  /// True iff `fp` was seen within the window; otherwise records it,
+  /// evicting the oldest fingerprint when the window is full.
+  bool seen_or_insert(std::uint64_t fp);
 
  private:
+  std::size_t home(std::uint64_t fp) const {
+    return static_cast<std::size_t>((fp * 0x9E3779B97F4A7C15ull) >> shift_);
+  }
+  /// Slot of `fp`, or of the empty slot that ends its probe run.
+  std::size_t probe(std::uint64_t fp) const;
+  void evict_oldest();
+
   std::vector<std::uint64_t> ring_;
-  std::unordered_set<std::uint64_t> set_;
-  std::size_t capacity_;
-  std::size_t head_ = 0;
+  std::vector<std::uint32_t> table_;  ///< ring position + 1; 0 = empty
+  std::size_t mask_ = 0;
+  int shift_ = 0;
+  std::size_t head_ = 0;  ///< next ring position; the oldest once full
   std::size_t size_ = 0;
 };
 

@@ -3,24 +3,31 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/segment_series.h"
+
 namespace s2s::core {
 
-PingSeriesStore::PingSeriesStore(const PingSeriesStore& other,
-                                 std::size_t new_epochs)
-    : start_day_(other.start_day_),
-      interval_s_(other.interval_s_),
-      epochs_(std::max(other.epochs_, new_epochs)),
-      obs_(other.obs_),
-      quality_(other.quality_),
-      dedup_(other.dedup_),
-      last_epoch_seen_(other.last_epoch_seen_),
-      series_(other.series_) {
-  for (auto& [k, series] : series_) {
-    if (!series.rtt_tenths.empty()) series.rtt_tenths.resize(epochs_, kMissing);
+void PingSeriesStore::fit(std::vector<std::uint16_t>& slots) const {
+  if (slots.capacity() < epochs_) {
+    const auto day = static_cast<std::size_t>(std::max(1.0, samples_per_day()));
+    slots.reserve((epochs_ + day - 1) / day * day);
   }
+  slots.resize(epochs_, kMissing);
+}
+
+void PingSeriesStore::grow(std::size_t epochs) {
+  if (epochs <= epochs_) return;
+  epochs_ = epochs;
+  for (auto& [k, series] : series_) fit(series.rtt_tenths);
 }
 
 void PingSeriesStore::add(const probe::PingRecord& record) {
+  const auto key = pack_pair_key(record.src, record.dst, record.family);
+  if (!key) {
+    ++quality_.unknown_server;
+    obs_.drop_unknown_server.inc();
+    return;
+  }
   if (dedup_.seen_or_insert(fingerprint(record))) {
     ++quality_.duplicates_dropped;
     obs_.drop_duplicates.inc();
@@ -28,10 +35,13 @@ void PingSeriesStore::add(const probe::PingRecord& record) {
   }
   const std::int64_t epoch =
       net::grid_epoch(record.time, start_day_, interval_s_);
-  if (epoch < 0 || static_cast<std::size_t>(epoch) >= epochs_) {
+  if (epoch < 0) {
     ++quality_.out_of_grid;
     obs_.drop_out_of_grid.inc();
     return;
+  }
+  if (static_cast<std::size_t>(epoch) >= epochs_) {
+    grow(static_cast<std::size_t>(epoch) + 1);
   }
   if (epoch < last_epoch_seen_) {
     ++quality_.reordered;
@@ -45,8 +55,8 @@ void PingSeriesStore::add(const probe::PingRecord& record) {
   }
   if (!record.success) return;
 
-  Series& series = series_[key(record.src, record.dst, record.family)];
-  if (series.rtt_tenths.empty()) series.rtt_tenths.assign(epochs_, kMissing);
+  Series& series = series_[*key];
+  if (series.rtt_tenths.empty()) fit(series.rtt_tenths);
   auto& slot = series.rtt_tenths[static_cast<std::size_t>(epoch)];
   // First write wins: a conflicting re-delivery cannot overwrite the
   // sample the analyses already count on.
@@ -62,70 +72,8 @@ void PingSeriesStore::add(const probe::PingRecord& record) {
       std::min(6553.0, std::max(0.0, record.rtt_ms)) * 10.0);
 }
 
-const PingSeriesStore::Series* PingSeriesStore::find(
-    topology::ServerId src, topology::ServerId dst, net::Family family) const {
-  const auto it = series_.find(key(src, dst, family));
-  return it == series_.end() ? nullptr : &it->second;
-}
-
-void PingSeriesStore::for_each(
-    const std::function<void(topology::ServerId, topology::ServerId,
-                             net::Family, const Series&)>& fn) const {
-  for (const auto& [k, series] : series_) {
-    fn(static_cast<topology::ServerId>(k >> 24),
-       static_cast<topology::ServerId>((k >> 4) & 0xFFFFFu),
-       (k & 1u) ? net::Family::kIPv6 : net::Family::kIPv4, series);
-  }
-}
-
-void PingSeriesStore::for_each_shard(
-    std::size_t shard, std::size_t n_shards,
-    const std::function<void(topology::ServerId, topology::ServerId,
-                             net::Family, const Series&)>& fn) const {
-  std::vector<std::pair<std::uint64_t, const Series*>> keys;
-  for (const auto& [k, series] : series_) {
-    if (k % n_shards == shard) keys.emplace_back(k, &series);
-  }
-  std::sort(keys.begin(), keys.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  for (const auto& [k, series] : keys) {
-    fn(static_cast<topology::ServerId>(k >> 24),
-       static_cast<topology::ServerId>((k >> 4) & 0xFFFFFu),
-       (k & 1u) ? net::Family::kIPv6 : net::Family::kIPv4, *series);
-  }
-}
-
 std::vector<double> PingSeriesStore::to_ms_interpolated(const Series& series) {
-  std::vector<double> out;
-  if (series.valid == 0) return out;
-  const auto& raw = series.rtt_tenths;
-  out.resize(raw.size());
-  // Forward fill indexes of previous/next valid samples, then interpolate.
-  std::ptrdiff_t prev = -1;
-  for (std::size_t i = 0; i < raw.size(); ++i) {
-    if (raw[i] != kMissing) {
-      out[i] = raw[i] / 10.0;
-      // Fill the gap (prev, i).
-      const double left =
-          prev >= 0 ? out[static_cast<std::size_t>(prev)] : out[i];
-      for (std::ptrdiff_t j = prev + 1; j < static_cast<std::ptrdiff_t>(i);
-           ++j) {
-        const double frac =
-            prev < 0 ? 1.0
-                     : static_cast<double>(j - prev) /
-                           static_cast<double>(static_cast<std::ptrdiff_t>(i) -
-                                               prev);
-        out[static_cast<std::size_t>(j)] = left + frac * (out[i] - left);
-      }
-      prev = static_cast<std::ptrdiff_t>(i);
-    }
-  }
-  // Trailing gap: copy the last valid sample.
-  for (std::size_t i = static_cast<std::size_t>(prev) + 1; i < raw.size();
-       ++i) {
-    out[i] = out[static_cast<std::size_t>(prev)];
-  }
-  return out;
+  return SegmentSeriesStore::row_ms_interpolated(series.rtt_tenths);
 }
 
 }  // namespace s2s::core

@@ -1,7 +1,9 @@
 // Fixed-grid RTT series from ping campaigns (paper Section 5.1).
 //
 // One uint16 slot per epoch per (src, dst, family); missing samples are
-// kMissing and can be interpolated before spectral analysis.
+// kMissing and can be interpolated before spectral analysis. The grid
+// grows to the largest epoch the store is fed, so one pass over an
+// archive both sizes and fills it.
 #pragma once
 
 #include <cstdint>
@@ -10,6 +12,7 @@
 #include <vector>
 
 #include "core/data_quality.h"
+#include "core/pair_key.h"
 #include "net/timebase.h"
 #include "probe/records.h"
 
@@ -19,19 +22,26 @@ class PingSeriesStore {
  public:
   static constexpr std::uint16_t kMissing = 0xFFFF;
 
+  /// `epochs` is the initial grid; add() grows it past that.
   PingSeriesStore(double start_day, std::int64_t interval_s,
                   std::size_t epochs)
       : start_day_(start_day), interval_s_(interval_s), epochs_(epochs) {}
 
-  /// Grow-copy: a deep copy re-gridded to `new_epochs` slots (clamped to
-  /// at least other's grid); the added slots start missing. Live delta
-  /// pickup builds the next snapshot's store from the current one
-  /// without replaying the sealed prefix (DESIGN.md section 16).
-  PingSeriesStore(const PingSeriesStore& other, std::size_t new_epochs);
+  /// Re-grids every series to at least `epochs` slots; the added slots
+  /// start missing. Capacity grows in whole days of slots: doubling
+  /// would strand up to half the grid as slack. Live delta pickup grows
+  /// a copy of the current store to the new watermark epoch (DESIGN.md
+  /// section 16).
+  void grow(std::size_t epochs);
 
-  /// Streaming sink for PingCampaign. Slots are first-write-wins:
-  /// duplicates and invalid samples are dropped and tallied in quality();
-  /// late arrivals land in their correct slot regardless of order.
+  /// Streaming sink for PingCampaign. A record past the grid grows it to
+  /// the record's epoch (before the validity and success checks, so
+  /// failed and invalid pings size it too); every series then has
+  /// epochs() slots. Slots are
+  /// first-write-wins: duplicates and invalid samples are dropped and
+  /// tallied in quality(), where out_of_grid counts only epochs before
+  /// the grid's start; late arrivals land in their correct slot
+  /// regardless of order.
   void add(const probe::PingRecord& record);
 
   struct Series {
@@ -40,11 +50,15 @@ class PingSeriesStore {
   };
 
   const Series* find(topology::ServerId src, topology::ServerId dst,
-                     net::Family family) const;
+                     net::Family family) const {
+    return find_pair(series_, src, dst, family);
+  }
 
   void for_each(const std::function<void(topology::ServerId,
                                          topology::ServerId, net::Family,
-                                         const Series&)>& fn) const;
+                                         const Series&)>& fn) const {
+    visit_pairs(series_, fn);
+  }
 
   /// Visits the pairs whose key falls in `shard` (key % n_shards), in
   /// ascending key order. Shards partition the store: over all shards of
@@ -55,7 +69,9 @@ class PingSeriesStore {
   void for_each_shard(std::size_t shard, std::size_t n_shards,
                       const std::function<void(topology::ServerId,
                                                topology::ServerId, net::Family,
-                                               const Series&)>& fn) const;
+                                               const Series&)>& fn) const {
+    visit_shard(series_, shard, n_shards, fn);
+  }
 
   std::size_t pair_count() const noexcept { return series_.size(); }
   std::size_t epochs() const noexcept { return epochs_; }
@@ -69,11 +85,7 @@ class PingSeriesStore {
   static std::vector<double> to_ms_interpolated(const Series& series);
 
  private:
-  static std::uint64_t key(topology::ServerId src, topology::ServerId dst,
-                           net::Family family) {
-    return (std::uint64_t{src} << 24) | (std::uint64_t{dst} << 4) |
-           (family == net::Family::kIPv6 ? 1u : 0u);
-  }
+  void fit(std::vector<std::uint16_t>& slots) const;
 
   double start_day_;
   std::int64_t interval_s_;

@@ -15,6 +15,12 @@ std::uint16_t to_tenths(double ms) {
 }  // namespace
 
 void SegmentSeriesStore::add(const probe::TracerouteRecord& record) {
+  const auto key = pack_pair_key(record.src, record.dst, record.family);
+  if (!key) {
+    ++quality_.unknown_server;
+    obs_.drop_unknown_server.inc();
+    return;
+  }
   if (dedup_.seen_or_insert(fingerprint(record))) {
     ++quality_.duplicates_dropped;
     obs_.drop_duplicates.inc();
@@ -42,7 +48,7 @@ void SegmentSeriesStore::add(const probe::TracerouteRecord& record) {
   obs_.rtt_ms.record(record.end_to_end_rtt_ms());
   const auto e = static_cast<std::size_t>(epoch);
 
-  PairSeries& series = series_[key(record.src, record.dst, record.family)];
+  PairSeries& series = series_[*key];
   // The final hop is the destination; segments cover the router hops.
   const std::size_t hops = record.hops.size() - 1;
   if (series.traces == 0) {
@@ -69,39 +75,6 @@ void SegmentSeriesStore::add(const probe::TracerouteRecord& record) {
     series.hop_rtt[i][e] = to_tenths(hop.rtt_ms);
   }
   series.end_rtt[e] = to_tenths(record.hops.back().rtt_ms);
-}
-
-const SegmentSeriesStore::PairSeries* SegmentSeriesStore::find(
-    topology::ServerId src, topology::ServerId dst, net::Family family) const {
-  const auto it = series_.find(key(src, dst, family));
-  return it == series_.end() ? nullptr : &it->second;
-}
-
-void SegmentSeriesStore::for_each(
-    const std::function<void(topology::ServerId, topology::ServerId,
-                             net::Family, const PairSeries&)>& fn) const {
-  for (const auto& [k, series] : series_) {
-    fn(static_cast<topology::ServerId>(k >> 24),
-       static_cast<topology::ServerId>((k >> 4) & 0xFFFFFu),
-       (k & 1u) ? net::Family::kIPv6 : net::Family::kIPv4, series);
-  }
-}
-
-void SegmentSeriesStore::for_each_shard(
-    std::size_t shard, std::size_t n_shards,
-    const std::function<void(topology::ServerId, topology::ServerId,
-                             net::Family, const PairSeries&)>& fn) const {
-  std::vector<std::pair<std::uint64_t, const PairSeries*>> keys;
-  for (const auto& [k, series] : series_) {
-    if (k % n_shards == shard) keys.emplace_back(k, &series);
-  }
-  std::sort(keys.begin(), keys.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  for (const auto& [k, series] : keys) {
-    fn(static_cast<topology::ServerId>(k >> 24),
-       static_cast<topology::ServerId>((k >> 4) & 0xFFFFFu),
-       (k & 1u) ? net::Family::kIPv6 : net::Family::kIPv4, *series);
-  }
 }
 
 std::vector<double> SegmentSeriesStore::row_ms_interpolated(

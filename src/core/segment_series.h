@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "core/data_quality.h"
+#include "core/pair_key.h"
 #include "net/ip.h"
 #include "net/timebase.h"
 #include "probe/records.h"
@@ -52,10 +53,14 @@ class SegmentSeriesStore {
   };
 
   const PairSeries* find(topology::ServerId src, topology::ServerId dst,
-                         net::Family family) const;
+                         net::Family family) const {
+    return find_pair(series_, src, dst, family);
+  }
   void for_each(const std::function<void(topology::ServerId,
                                          topology::ServerId, net::Family,
-                                         const PairSeries&)>& fn) const;
+                                         const PairSeries&)>& fn) const {
+    visit_pairs(series_, fn);
+  }
 
   /// Visits the pairs whose key falls in `shard` (key % n_shards), in
   /// ascending key order — hash-layout-independent, so shard outputs merge
@@ -64,7 +69,9 @@ class SegmentSeriesStore {
   void for_each_shard(std::size_t shard, std::size_t n_shards,
                       const std::function<void(topology::ServerId,
                                                topology::ServerId, net::Family,
-                                               const PairSeries&)>& fn) const;
+                                               const PairSeries&)>& fn) const {
+    visit_shard(series_, shard, n_shards, fn);
+  }
 
   std::size_t pair_count() const noexcept { return series_.size(); }
   std::size_t epochs() const noexcept { return epochs_; }
@@ -73,17 +80,13 @@ class SegmentSeriesStore {
     return 86400.0 / static_cast<double>(interval_s_);
   }
 
-  /// Gap-filled ms copy of a row (same interpolation as ping series).
+  /// Gap-filled ms copy of a row (linear interpolation; edge gaps copy
+  /// the nearest valid sample); empty when no slot is valid. Ping series
+  /// interpolate through this too.
   static std::vector<double> row_ms_interpolated(
       const std::vector<std::uint16_t>& row);
 
  private:
-  static std::uint64_t key(topology::ServerId src, topology::ServerId dst,
-                           net::Family family) {
-    return (std::uint64_t{src} << 24) | (std::uint64_t{dst} << 4) |
-           (family == net::Family::kIPv6 ? 1u : 0u);
-  }
-
   double start_day_;
   std::int64_t interval_s_;
   std::size_t epochs_;

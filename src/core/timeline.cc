@@ -17,7 +17,15 @@ std::uint32_t PathInterner::intern(const net::AsPath& path) {
 void TimelineStore::add(const probe::TracerouteRecord& record) {
   // Quality gate: every record (complete or not) is checked before it can
   // touch the Table 1 accounting, so a garbled or re-delivered stream
-  // cannot inflate the paper's completeness statistics.
+  // cannot inflate the paper's completeness statistics. A server id from
+  // a larger deployment has no AS to anchor the path on.
+  const auto key = pack_pair_key(record.src, record.dst, record.family);
+  if (!key || record.src >= topo_.servers.size() ||
+      record.dst >= topo_.servers.size()) {
+    ++quality_.unknown_server;
+    obs_.drop_unknown_server.inc();
+    return;
+  }
   if (dedup_.seen_or_insert(fingerprint(record))) {
     ++quality_.duplicates_dropped;
     obs_.drop_duplicates.inc();
@@ -64,8 +72,7 @@ void TimelineStore::add(const probe::TracerouteRecord& record) {
   max_epoch_ = std::max(max_epoch_, epoch);
 
   const std::uint32_t global = interner_.intern(inferred.as_path);
-  TraceTimeline& timeline =
-      timelines_[key(record.src, record.dst, record.family)];
+  TraceTimeline& timeline = timelines_[*key];
   auto local_it = std::find(timeline.local_paths.begin(),
                             timeline.local_paths.end(), global);
   std::uint16_t local;
@@ -90,40 +97,6 @@ void TimelineStore::add(const probe::TracerouteRecord& record) {
         timeline.obs.begin(), timeline.obs.end(), epoch,
         [](std::uint16_t e, const Observation& o) { return e < o.epoch; });
     timeline.obs.insert(pos, obs);
-  }
-}
-
-const TraceTimeline* TimelineStore::find(topology::ServerId src,
-                                         topology::ServerId dst,
-                                         net::Family family) const {
-  const auto it = timelines_.find(key(src, dst, family));
-  return it == timelines_.end() ? nullptr : &it->second;
-}
-
-void TimelineStore::for_each(
-    const std::function<void(topology::ServerId, topology::ServerId,
-                             net::Family, const TraceTimeline&)>& fn) const {
-  for (const auto& [k, timeline] : timelines_) {
-    fn(static_cast<topology::ServerId>(k >> 24),
-       static_cast<topology::ServerId>((k >> 4) & 0xFFFFFu),
-       (k & 1u) ? net::Family::kIPv6 : net::Family::kIPv4, timeline);
-  }
-}
-
-void TimelineStore::for_each_shard(
-    std::size_t shard, std::size_t n_shards,
-    const std::function<void(topology::ServerId, topology::ServerId,
-                             net::Family, const TraceTimeline&)>& fn) const {
-  std::vector<std::pair<std::uint64_t, const TraceTimeline*>> keys;
-  for (const auto& [k, timeline] : timelines_) {
-    if (k % n_shards == shard) keys.emplace_back(k, &timeline);
-  }
-  std::sort(keys.begin(), keys.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  for (const auto& [k, timeline] : keys) {
-    fn(static_cast<topology::ServerId>(k >> 24),
-       static_cast<topology::ServerId>((k >> 4) & 0xFFFFFu),
-       (k & 1u) ? net::Family::kIPv6 : net::Family::kIPv4, *timeline);
   }
 }
 

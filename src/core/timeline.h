@@ -17,6 +17,7 @@
 
 #include "core/as_path_infer.h"
 #include "core/data_quality.h"
+#include "core/pair_key.h"
 #include "net/timebase.h"
 #include "probe/records.h"
 #include "topology/topology.h"
@@ -97,18 +98,23 @@ class TimelineStore {
 
   /// Streaming sink: validate, infer, account, and (for complete,
   /// loop-free traceroutes) insert into the pair's timeline in epoch
-  /// order. Duplicates, invalid RTTs and off-grid timestamps are dropped
-  /// and tallied in quality(); late arrivals are accepted, re-sorted and
-  /// tallied, so change detection never sees artificial path flaps.
+  /// order. Server ids outside the topology, duplicates, invalid RTTs
+  /// and off-grid timestamps are dropped and tallied in quality(); late
+  /// arrivals are accepted, re-sorted and tallied, so change detection
+  /// never sees artificial path flaps.
   void add(const probe::TracerouteRecord& record);
 
   const TraceTimeline* find(topology::ServerId src, topology::ServerId dst,
-                            net::Family family) const;
+                            net::Family family) const {
+    return find_pair(timelines_, src, dst, family);
+  }
 
   /// Iterates timelines as fn(src, dst, family, timeline).
   void for_each(const std::function<void(topology::ServerId,
                                          topology::ServerId, net::Family,
-                                         const TraceTimeline&)>& fn) const;
+                                         const TraceTimeline&)>& fn) const {
+    visit_pairs(timelines_, fn);
+  }
 
   /// Visits the timelines whose key falls in `shard` (key % n_shards), in
   /// ascending key order — hash-layout-independent, so shard outputs merge
@@ -118,7 +124,9 @@ class TimelineStore {
                       const std::function<void(topology::ServerId,
                                                topology::ServerId, net::Family,
                                                const TraceTimeline&)>& fn)
-      const;
+      const {
+    visit_shard(timelines_, shard, n_shards, fn);
+  }
 
   const PathInterner& interner() const noexcept { return interner_; }
   const Table1Counts& table1() const noexcept { return table1_; }
@@ -130,12 +138,6 @@ class TimelineStore {
   }
 
  private:
-  static std::uint64_t key(topology::ServerId src, topology::ServerId dst,
-                           net::Family family) {
-    return (std::uint64_t{src} << 24) | (std::uint64_t{dst} << 4) |
-           (family == net::Family::kIPv6 ? 1u : 0u);
-  }
-
   const topology::Topology& topo_;
   AsPathInferrer inferrer_;
   TimelineStoreConfig config_;

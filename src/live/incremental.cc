@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/pair_key.h"
 #include "exec/parallel_for.h"
 #include "obs/metrics.h"
 
@@ -32,12 +33,12 @@ void IncrementalState::add(const probe::PingRecord& record) {
     ++records_dropped_;
     return;
   }
-  PairState& ps =
-      pairs_
-          .try_emplace(key(record.src, record.dst,
-                           record.family == net::Family::kIPv6 ? 6 : 4),
-                       config_)
-          .first->second;
+  const auto key = core::pack_pair_key(record.src, record.dst, record.family);
+  if (!key) {
+    ++records_dropped_;
+    return;
+  }
+  PairState& ps = pairs_.try_emplace(*key, config_).first->second;
   if (epoch <= ps.last_epoch) {
     ++records_dropped_;  // duplicate or stale redelivery: first write wins
     return;
@@ -114,7 +115,10 @@ IncrementalState::Verdict IncrementalState::eval(const PairState& ps) const {
 
 bool IncrementalState::verdict(std::uint32_t src, std::uint32_t dst,
                                std::uint8_t family, Verdict& out) const {
-  const auto it = pairs_.find(key(src, dst, family));
+  const auto key = core::pack_pair_key(
+      src, dst, family == 6 ? net::Family::kIPv6 : net::Family::kIPv4);
+  if (!key) return false;
+  const auto it = pairs_.find(*key);
   if (it == pairs_.end()) return false;
   out = eval(it->second);
   return true;
@@ -124,9 +128,8 @@ void IncrementalState::for_each(
     const std::function<void(std::uint32_t, std::uint32_t, std::uint8_t,
                              const Verdict&)>& fn) const {
   for (const auto& [k, ps] : pairs_) {
-    fn(static_cast<std::uint32_t>(k >> 24),
-       static_cast<std::uint32_t>((k >> 4) & 0xFFFFFu),
-       (k & 1u) ? std::uint8_t{6} : std::uint8_t{4}, eval(ps));
+    const simnet::PairKey p = core::unpack_pair_key(k);
+    fn(p.src, p.dst, p.family == net::Family::kIPv6 ? 6 : 4, eval(ps));
   }
 }
 

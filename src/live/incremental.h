@@ -142,12 +142,6 @@ class IncrementalState {
           window(c.window_epochs) {}
   };
 
-  static std::uint64_t key(std::uint32_t src, std::uint32_t dst,
-                           std::uint8_t family) {
-    return (std::uint64_t{src} << 24) | (std::uint64_t{dst} << 4) |
-           (family == 6 ? 1u : 0u);
-  }
-
   Verdict eval(const PairState& ps) const;
 
   IncrementalConfig config_;

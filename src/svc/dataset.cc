@@ -5,7 +5,9 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <map>
+#include <optional>
 #include <tuple>
 
 #include "core/dualstack.h"
@@ -36,27 +38,6 @@ simnet::NetworkConfig dataset_net_config(const DatasetConfig& cfg) {
 }
 
 namespace {
-
-bool file_digest(const std::string& path, std::uint64_t& size_out,
-                 std::uint32_t& crc_out, std::string& error) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    error = "cannot open archive: " + path;
-    return false;
-  }
-  char buf[1 << 16];
-  std::uint32_t crc = 0;
-  std::uint64_t size = 0;
-  while (in.read(buf, sizeof buf) || in.gcount() > 0) {
-    const auto n = static_cast<std::size_t>(in.gcount());
-    crc = io::crc32c(crc, buf, n);
-    size += n;
-    if (n < sizeof buf) break;
-  }
-  size_out = size;
-  crc_out = crc;
-  return true;
-}
 
 std::uint64_t splitmix64(std::uint64_t x) {
   x += 0x9E3779B97F4A7C15ull;
@@ -145,6 +126,47 @@ void quantiles_json(obs::json::Writer& w, const stats::Summary& s) {
   w.end_object();
 }
 
+/// The record sink of every load path: records naming a server outside
+/// the deployment are refused (an archive of a larger deployment; its
+/// ids index nothing here) and the first such id is kept for the error.
+/// The rest go to the stores, and pings also to the live state if any.
+struct Fold {
+  core::TimelineStore& timelines;
+  core::PingSeriesStore& pings;
+  live::IncrementalState* state;
+  std::size_t servers;
+  std::optional<std::uint32_t> refused = std::nullopt;
+
+  template <typename Record>
+  bool admit(const Record& r) {
+    if (std::max(r.src, r.dst) < servers) return true;
+    if (!refused) refused = std::max(r.src, r.dst);
+    return false;
+  }
+  void operator()(const probe::TracerouteRecord& r) {
+    if (admit(r)) timelines.add(r);
+  }
+  void operator()(const probe::PingRecord& r) {
+    if (!admit(r)) return;
+    pings.add(r);
+    if (state) state->add(r);
+  }
+  /// False, with `error` naming the id and the count, once a record was
+  /// refused.
+  bool ok(std::string& error) const {
+    if (!refused) return true;
+    error = "archive names server id " + std::to_string(*refused) +
+            " but the deployment has " + std::to_string(servers) + " servers";
+    return false;
+  }
+};
+
+/// A live grid spans at least the watermark epoch, so record-free sealed
+/// epochs still count as missing samples.
+std::size_t grid_floor(const live::Watermark& wm) {
+  return static_cast<std::size_t>(std::max<std::int64_t>(wm.epoch + 1, 0));
+}
+
 }  // namespace
 
 Dataset::Dataset(const DatasetConfig& config) : config_(config) {
@@ -175,48 +197,40 @@ bool Dataset::load(std::string& error) {
 
   std::uint64_t size = 0;
   std::uint32_t crc = 0;
-  if (!file_digest(config_.archive_path, size, crc, error)) return false;
-
-  // Pass 1: the ping grid size. PingSeriesStore allocates its slots up
-  // front, so the archive is scanned once for the last ping epoch.
-  std::int64_t max_ping_epoch = -1;
-  auto scan = io::ingest_record_file(
-      config_.archive_path, [](const probe::TracerouteRecord&) {},
-      [&](const probe::PingRecord& r) {
-        const std::int64_t e = net::grid_epoch(r.time, config_.ping_start_day,
-                                               config_.ping_interval_s);
-        if (e > max_ping_epoch) max_ping_epoch = e;
-      });
-  if (!scan.ok) {
-    error = "archive unreadable: " + scan.error;
-    return false;
+  {
+    io::MmapFile image;
+    if (!image.open(config_.archive_path)) {
+      error = "cannot open archive: " + config_.archive_path;
+      return false;
+    }
+    size = image.size();
+    crc = io::crc32c(0, image.data(), image.size());
   }
-  const auto epochs =
-      static_cast<std::size_t>(max_ping_epoch < 0 ? 0 : max_ping_epoch + 1);
 
-  // Pass 2: ingest into fresh stores; swap in only on success so a bad
-  // SIGHUP reload keeps the previous dataset serving.
+  // One decode into fresh stores (the ping grid grows to the last ping
+  // epoch as it goes); swap in only on success so a bad SIGHUP reload
+  // keeps the previous dataset serving.
   auto timelines = std::make_unique<core::TimelineStore>(
       net_->topo(), net_->rib(),
       core::TimelineStoreConfig{config_.trace_start_day,
                                 config_.trace_interval_s});
   auto pings = std::make_unique<core::PingSeriesStore>(
-      config_.ping_start_day, config_.ping_interval_s, epochs);
-  auto ingest = io::ingest_record_file(
-      config_.archive_path,
-      [&](const probe::TracerouteRecord& r) { timelines->add(r); },
-      [&](const probe::PingRecord& r) { pings->add(r); });
+      config_.ping_start_day, config_.ping_interval_s, 0);
+  Fold fold{*timelines, *pings, nullptr, net_->topo().servers.size()};
+  auto ingest = io::ingest_record_file(config_.archive_path, std::ref(fold),
+                                       std::ref(fold));
   if (!ingest.ok) {
     error = "archive unreadable: " + ingest.error;
     return false;
   }
+  if (!fold.ok(error)) return false;
   timelines_ = std::move(timelines);
   pings_ = std::move(pings);
   digest_size_ = size;
   digest_crc_ = crc;
   digest_ = mix_digest(size, crc, -1);
   ingest_ = ingest;
-  ping_epochs_ = epochs;
+  ping_epochs_ = pings_->epochs();
   live_ = false;
   watermark_ = {};
   live_state_.reset();
@@ -256,47 +270,26 @@ bool Dataset::load_live(const live::Watermark& wm, std::string& error) {
   }
   const auto sealed = static_cast<std::size_t>(wm.sealed_bytes);
 
-  // Pass 1 over the sealed prefix only: the ping grid size. The grid is
-  // clamped up to the watermark epoch so record-free sealed epochs still
-  // count as missing samples.
-  std::int64_t max_ping_epoch = wm.epoch;
-  {
-    io::BinRecordMmapReader scan(file.data(), sealed);
-    if (!scan.ok()) {
-      error = "open shard unreadable: " + scan.error();
-      return false;
-    }
-    scan.read_all([](const probe::TracerouteRecord&) {},
-                  [&](const probe::PingRecord& r) {
-                    const std::int64_t e = net::grid_epoch(
-                        r.time, config_.ping_start_day, config_.ping_interval_s);
-                    if (e > max_ping_epoch) max_ping_epoch = e;
-                  });
-  }
-  const auto epochs =
-      static_cast<std::size_t>(max_ping_epoch < 0 ? 0 : max_ping_epoch + 1);
-
-  // Pass 2: fresh stores plus the incremental state, folded in archive
-  // order. Damage inside the sealed prefix is a hard error: the watermark
-  // protocol guarantees every sealed block was fsynced and CRC-valid, so
-  // a torn or corrupt block here means real data loss, not a live tail.
+  // Fresh stores plus the incremental state, folded in archive order.
+  // The ping grid starts at the watermark epoch so record-free sealed
+  // epochs still count as missing samples. Damage inside the sealed
+  // prefix is a hard error: the watermark protocol guarantees every
+  // sealed block was fsynced and CRC-valid, so a torn or corrupt block
+  // here means real data loss, not a live tail.
   auto timelines = std::make_unique<core::TimelineStore>(
       net_->topo(), net_->rib(),
       core::TimelineStoreConfig{config_.trace_start_day,
                                 config_.trace_interval_s});
   auto pings = std::make_unique<core::PingSeriesStore>(
-      config_.ping_start_day, config_.ping_interval_s, epochs);
+      config_.ping_start_day, config_.ping_interval_s, grid_floor(wm));
   auto state = std::make_shared<live::IncrementalState>(incremental_config());
   io::BinRecordMmapReader reader(file.data(), sealed);
   if (!reader.ok()) {
     error = "open shard unreadable: " + reader.error();
     return false;
   }
-  reader.read_all([&](const probe::TracerouteRecord& r) { timelines->add(r); },
-                  [&](const probe::PingRecord& r) {
-                    pings->add(r);
-                    state->add(r);
-                  });
+  Fold fold{*timelines, *pings, state.get(), net_->topo().servers.size()};
+  reader.read_all(std::ref(fold), std::ref(fold));
   if (reader.counters().truncated) {
     error = "open shard is torn inside its sealed watermark";
     return false;
@@ -306,6 +299,7 @@ bool Dataset::load_live(const live::Watermark& wm, std::string& error) {
             " corrupt block(s) inside the sealed watermark";
     return false;
   }
+  if (!fold.ok(error)) return false;
   state->advance_watermark(wm.epoch);
 
   io::IngestResult ingest;
@@ -324,7 +318,7 @@ bool Dataset::load_live(const live::Watermark& wm, std::string& error) {
   live_state_ = std::move(state);
   live_ = true;
   watermark_ = wm;
-  ping_epochs_ = epochs;
+  ping_epochs_ = pings_->epochs();
   ingest_ = ingest;
   digest_size_ = wm.sealed_bytes;
   digest_crc_ = io::crc32c(0, file.data(), sealed);
@@ -372,54 +366,35 @@ std::shared_ptr<Dataset> Dataset::clone_advanced(std::string& error) const {
   const auto begin = static_cast<std::size_t>(watermark_.sealed_bytes);
   const auto end = static_cast<std::size_t>(wm.sealed_bytes);
 
-  // Pass 1 over just the delta: does the ping grid need to grow?
-  std::int64_t max_ping_epoch =
-      std::max<std::int64_t>(static_cast<std::int64_t>(ping_epochs_) - 1,
-                             wm.epoch);
-  io::BinReadCounters scan_counters;
-  io::decode_block_range(
-      file.data(), file.size(), begin, end,
-      [](const probe::TracerouteRecord&) {},
-      [&](const probe::PingRecord& r) {
-        const std::int64_t e = net::grid_epoch(r.time, config_.ping_start_day,
-                                               config_.ping_interval_s);
-        if (e > max_ping_epoch) max_ping_epoch = e;
-      },
-      scan_counters);
-  if (scan_counters.truncated) {
-    error = "sealed tail is torn inside the new watermark";
-    return nullptr;
-  }
-  if (scan_counters.corrupt_blocks > 0) {
-    error = std::to_string(scan_counters.corrupt_blocks) +
-            " corrupt block(s) in the sealed tail";
-    return nullptr;
-  }
-  const auto epochs =
-      static_cast<std::size_t>(max_ping_epoch < 0 ? 0 : max_ping_epoch + 1);
-
-  // Pass 2: copy this snapshot's stores and fold ONLY the new tail —
-  // O(new records), never a replay of the sealed prefix. The copies keep
-  // their dedup windows, so a block re-delivered across pickups cannot
+  // Copy this snapshot's stores and fold ONLY the new tail — O(new
+  // records), never a replay of the sealed prefix. The copies keep their
+  // dedup windows, so a block re-delivered across pickups cannot
   // double-count.
   auto next = std::make_shared<Dataset>(config_, net_);
   next->timelines_ = std::make_unique<core::TimelineStore>(*timelines_);
-  next->pings_ = std::make_unique<core::PingSeriesStore>(*pings_, epochs);
+  next->pings_ = std::make_unique<core::PingSeriesStore>(*pings_);
+  next->pings_->grow(grid_floor(wm));
   auto state = std::make_shared<live::IncrementalState>(*live_state_);
+  Fold fold{*next->timelines_, *next->pings_, state.get(),
+            net_->topo().servers.size()};
   io::BinReadCounters counters;
-  io::decode_block_range(
-      file.data(), file.size(), begin, end,
-      [&](const probe::TracerouteRecord& r) { next->timelines_->add(r); },
-      [&](const probe::PingRecord& r) {
-        next->pings_->add(r);
-        state->add(r);
-      },
-      counters);
+  io::decode_block_range(file.data(), file.size(), begin, end, std::ref(fold),
+                         std::ref(fold), counters);
+  if (counters.truncated) {
+    error = "sealed tail is torn inside the new watermark";
+    return nullptr;
+  }
+  if (counters.corrupt_blocks > 0) {
+    error = std::to_string(counters.corrupt_blocks) +
+            " corrupt block(s) in the sealed tail";
+    return nullptr;
+  }
+  if (!fold.ok(error)) return nullptr;
   state->advance_watermark(wm.epoch);
   next->live_state_ = std::move(state);
   next->live_ = true;
   next->watermark_ = wm;
-  next->ping_epochs_ = epochs;
+  next->ping_epochs_ = next->pings_->epochs();
 
   // Ingest counters accumulate across pickups so summary_json keeps
   // reporting whole-shard totals.

@@ -1,11 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <deque>
+#include <set>
 
+#include "bgp/rib.h"
 #include "core/congestion_detect.h"
 #include "core/localize.h"
+#include "core/pair_key.h"
 #include "core/segment_series.h"
+#include "core/timeline.h"
 #include "stats/rng.h"
+#include "topology/generator.h"
 
 namespace s2s::core {
 namespace {
@@ -257,6 +263,185 @@ TEST(SegmentSeriesStore, UnresponsiveHopsAreWildcards) {
   EXPECT_TRUE(series->ip_static);
   ASSERT_TRUE(series->hop_addrs[1].has_value());  // learned later
   EXPECT_EQ(*series->hop_addrs[1], addr(2));
+}
+
+TEST(PingSeriesStore, GridGrowsToLastEpochFed) {
+  PingSeriesStore store(0.0, net::kFifteenMinutes, 4);
+  probe::PingRecord rec;
+  rec.src = 1;
+  rec.dst = 2;
+  rec.success = true;
+  rec.rtt_ms = 10.0;
+  rec.time = net::SimTime(10 * 900);
+  store.add(rec);
+  EXPECT_EQ(store.epochs(), 11u);
+  // A failed ping past the grid still grows it, like the last epoch of a
+  // campaign whose final round timed out.
+  rec.success = false;
+  rec.time = net::SimTime(20 * 900);
+  store.add(rec);
+  EXPECT_EQ(store.epochs(), 21u);
+  const auto* series = store.find(1, 2, net::Family::kIPv4);
+  ASSERT_NE(series, nullptr);
+  ASSERT_EQ(series->rtt_tenths.size(), 21u);
+  EXPECT_EQ(series->rtt_tenths[10], 100);
+  EXPECT_EQ(series->rtt_tenths[20], PingSeriesStore::kMissing);
+  // Only epochs before the grid's start are off the grid now.
+  rec.time = net::SimTime(-3600);
+  store.add(rec);
+  EXPECT_EQ(store.quality().out_of_grid, 1u);
+  EXPECT_EQ(store.epochs(), 21u);
+}
+
+TEST(PairKey, PacksAndUnpacksTheFullRange) {
+  const auto key =
+      pack_pair_key(0xFFFFFFFFu, kMaxPairKeyDst, net::Family::kIPv6);
+  ASSERT_TRUE(key.has_value());
+  const simnet::PairKey p = unpack_pair_key(*key);
+  EXPECT_EQ(p.src, 0xFFFFFFFFu);
+  EXPECT_EQ(p.dst, kMaxPairKeyDst);
+  EXPECT_EQ(p.family, net::Family::kIPv6);
+  EXPECT_FALSE(
+      pack_pair_key(0, kMaxPairKeyDst + 1, net::Family::kIPv4).has_value());
+}
+
+TEST(PairKey, DstBeyondKeyFieldNeverAliasesAnotherPair) {
+  // (0, 2 + 2^20) used to pack to the key of (1, 2).
+  const topology::ServerId wide = 2 + (kMaxPairKeyDst + 1);
+  PingSeriesStore pings(0.0, net::kFifteenMinutes, 4);
+  probe::PingRecord ping;
+  ping.src = 1;
+  ping.dst = 2;
+  ping.success = true;
+  ping.rtt_ms = 10.0;
+  pings.add(ping);
+  ping.src = 0;
+  ping.dst = wide;
+  ping.time = net::SimTime(900);
+  ping.rtt_ms = 20.0;
+  pings.add(ping);
+  const auto* series = pings.find(1, 2, net::Family::kIPv4);
+  ASSERT_NE(series, nullptr);
+  EXPECT_EQ(series->valid, 1u);
+  EXPECT_EQ(series->rtt_tenths[1], PingSeriesStore::kMissing);
+  EXPECT_EQ(pings.find(0, wide, net::Family::kIPv4), nullptr);
+  EXPECT_EQ(pings.pair_count(), 1u);
+  EXPECT_EQ(pings.quality().unknown_server, 1u);
+
+  SegmentSeriesStore segments(0.0, 1800, 4);
+  probe::TracerouteRecord trace;
+  trace.src = 1;
+  trace.dst = 2;
+  trace.complete = true;
+  trace.hops = {{IPAddr(IPv4Addr(10, 0, 0, 1)), 1.0},
+                {IPAddr(IPv4Addr(10, 0, 0, 9)), 3.0}};
+  segments.add(trace);
+  trace.src = 0;
+  trace.dst = wide;
+  trace.time = net::SimTime(1800);
+  trace.hops[0].addr = IPAddr(IPv4Addr(10, 0, 0, 7));  // would un-static
+  segments.add(trace);
+  const auto* seg = segments.find(1, 2, net::Family::kIPv4);
+  ASSERT_NE(seg, nullptr);
+  EXPECT_EQ(seg->traces, 1u);
+  EXPECT_TRUE(seg->ip_static);
+  EXPECT_EQ(segments.pair_count(), 1u);
+  EXPECT_EQ(segments.quality().unknown_server, 1u);
+}
+
+TEST(TimelineStore, ServerOutsideTheTopologyIsDroppedAndTallied) {
+  topology::GeneratorConfig cfg;
+  cfg.seed = 9;
+  cfg.tier1_count = 3;
+  cfg.transit_count = 6;
+  cfg.stub_count = 12;
+  cfg.server_count = 4;
+  const auto topo = topology::generate(cfg);
+  const auto rib = bgp::Rib::from_topology(topo);
+  TimelineStore store(topo, rib, {0.0, net::kThreeHours});
+  probe::TracerouteRecord rec;
+  rec.src = 7;  // a server of a larger deployment
+  rec.dst = 1;
+  rec.complete = true;
+  rec.hops = {{IPAddr(IPv4Addr(10, 0, 0, 1)), 1.0}};
+  store.add(rec);
+  rec.src = 0;
+  rec.dst = 2 + (kMaxPairKeyDst + 1);
+  store.add(rec);
+  EXPECT_EQ(store.quality().unknown_server, 2u);
+  EXPECT_EQ(store.table1().v4.collected, 0u);
+  EXPECT_EQ(store.timeline_count(), 0u);
+}
+
+/// The window as a deque of the last `capacity` distinct fingerprints.
+class ReferenceWindow {
+ public:
+  explicit ReferenceWindow(std::size_t capacity) : capacity_(capacity) {}
+  bool seen_or_insert(std::uint64_t fp) {
+    if (members_.count(fp) != 0) return true;
+    if (order_.size() == capacity_) {
+      members_.erase(order_.front());
+      order_.pop_front();
+    }
+    order_.push_back(fp);
+    members_.insert(fp);
+    return false;
+  }
+
+ private:
+  std::size_t capacity_;
+  std::deque<std::uint64_t> order_;
+  std::set<std::uint64_t> members_;
+};
+
+TEST(DedupWindow, ReDeliveryAtTheWindowEdge) {
+  // A re-delivery is caught while at most capacity - 1 distinct
+  // fingerprints arrived after the original.
+  for (const std::size_t after : {4095u, 4096u, 4097u}) {
+    DedupWindow window;
+    ReferenceWindow reference(4096);
+    const std::uint64_t original = 0xFEEDull;
+    EXPECT_FALSE(window.seen_or_insert(original));
+    reference.seen_or_insert(original);
+    for (std::uint64_t i = 1; i <= after; ++i) {
+      const std::uint64_t fp = i * 0x9E3779B97F4A7C15ull;
+      ASSERT_EQ(window.seen_or_insert(fp), reference.seen_or_insert(fp));
+    }
+    const bool expected = after < 4096;
+    EXPECT_EQ(reference.seen_or_insert(original), expected) << after;
+    EXPECT_EQ(window.seen_or_insert(original), expected) << after;
+  }
+}
+
+TEST(DedupWindow, MatchesReferenceWindow) {
+  // Long random streams with re-deliveries near and past the window
+  // edge; a small window over a small value range packs the probe
+  // table, so evictions shift entries inside long runs.
+  for (const auto& [capacity, range] :
+       {std::pair<std::size_t, std::uint64_t>{4096, 0},
+        std::pair<std::size_t, std::uint64_t>{8, 24}}) {
+    DedupWindow window(capacity);
+    ReferenceWindow reference(capacity);
+    stats::Rng rng(capacity);
+    std::vector<std::uint64_t> history;
+    for (int i = 0; i < 60000; ++i) {
+      std::uint64_t fp;
+      const auto pick = rng() % 8;
+      if (range != 0) {
+        fp = rng() % range;  // includes 0
+      } else if (pick < 3 && history.size() > capacity + 1) {
+        const std::size_t back = capacity - 1 + rng() % 3;  // 4095..4097
+        fp = history[history.size() - back];
+      } else if (pick < 5 && !history.empty()) {
+        fp = history[history.size() - 1 - rng() % history.size() % 64];
+      } else {
+        fp = rng();
+      }
+      history.push_back(fp);
+      ASSERT_EQ(window.seen_or_insert(fp), reference.seen_or_insert(fp))
+          << "step " << i;
+    }
+  }
 }
 
 }  // namespace

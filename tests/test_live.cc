@@ -355,6 +355,27 @@ TEST(LiveIncremental, CopyThenFoldEqualsSequentialFold) {
   expect_verdicts_equal(all_verdicts(clone), all_verdicts(full));
 }
 
+TEST(LiveIncremental, DstBeyondKeyFieldNeverAliasesAnotherPair) {
+  live::IncrementalState state(world_incremental_config());
+  probe::PingRecord r;
+  r.src = 1;
+  r.dst = 2;
+  r.success = true;
+  r.rtt_ms = 10.0;
+  state.add(r);
+  // (0, 2 + 2^20) used to pack to the key of (1, 2).
+  r.src = 0;
+  r.dst = 2 + (1u << 20);
+  r.time = net::SimTime(world().cfg.ping_interval_s);
+  state.add(r);
+  EXPECT_EQ(state.pairs_tracked(), 1u);
+  EXPECT_EQ(state.records_folded(), 1u);
+  live::IncrementalState::Verdict v;
+  ASSERT_TRUE(state.verdict(1, 2, 4, v));
+  EXPECT_EQ(v.samples, 1u);
+  EXPECT_FALSE(state.verdict(0, 2 + (1u << 20), 4, v));
+}
+
 /// Verdict responses for every ping pair, via the public execute path.
 std::vector<std::string> verdict_payloads(const svc::Dataset& ds) {
   std::vector<std::string> out;
@@ -409,6 +430,30 @@ TEST(LiveDataset, DeltaPickupMatchesFreshLoadByteForByte) {
   auto bad = advanced->clone_advanced(error);
   EXPECT_EQ(bad, nullptr);
   EXPECT_FALSE(error.empty());
+
+  std::remove(path.c_str());
+  live::remove_watermark_file(path);
+}
+
+TEST(LiveDataset, PickupRefusesServerOutsideTheDeployment) {
+  const std::string path = temp_path("live_ds_server");
+  auto writer = write_epochs(path, 8, 256);
+  svc::DatasetConfig cfg = world().cfg;
+  cfg.archive_path = path;
+  auto base = std::make_shared<svc::Dataset>(cfg, world().net.get());
+  std::string error;
+  ASSERT_TRUE(base->load(error)) << error;
+
+  probe::PingRecord r = world().epochs[8].front();
+  r.src = static_cast<topology::ServerId>(cfg.server_count);
+  writer->write(r);
+  ASSERT_TRUE(writer->seal(8, error)) << error;
+  EXPECT_EQ(base->clone_advanced(error), nullptr);
+  EXPECT_NE(error.find("server id " + std::to_string(cfg.server_count) +
+                       " but the deployment has " +
+                       std::to_string(cfg.server_count) + " servers"),
+            std::string::npos)
+      << error;
 
   std::remove(path.c_str());
   live::remove_watermark_file(path);

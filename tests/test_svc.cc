@@ -10,7 +10,9 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cmath>
 #include <cstdint>
+#include <fstream>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -18,7 +20,10 @@
 #include <thread>
 #include <vector>
 
+#include "core/congestion_detect.h"
 #include "exec/pool.h"
+#include "io/binrec.h"
+#include "live/watermark.h"
 #include "obs/json.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
@@ -771,6 +776,148 @@ TEST(SvcServer, ReloadKeepsServingAndStatsReport) {
   EXPECT_NE(stats.find("\"loaded\":true"), std::string::npos) << stats;
   must_call(client, svc::MsgType::kPingEcho, 0, "");
   EXPECT_EQ(ts.server().reloads(), 1u);
+}
+
+TEST(SvcDataset, ArchiveFromLargerDeploymentIsRefused) {
+  // A 40-server archive served as the default 16-server deployment: its
+  // server ids index past the topology, so every load path must refuse
+  // it by name instead of folding (or reading past) unknown servers.
+  svc::DatasetConfig big = world().cfg;
+  big.server_count = 40;
+  big.archive_path = ::testing::TempDir() + "s2s_test_svc_big_" +
+                     std::to_string(::getpid()) + ".s2sb";
+  svc::FixtureParams params = fast_fixture_params();
+  params.max_ping_pairs = 40;
+  std::string error;
+  ASSERT_TRUE(svc::write_fixture_archive(big.archive_path, big, params, error))
+      << error;
+
+  svc::DatasetConfig small = big;
+  small.server_count = world().cfg.server_count;  // 16, s2sd's default
+  svc::Dataset ds(small, &world().dataset->net());
+  EXPECT_FALSE(ds.load(error));
+  EXPECT_NE(error.find("server id "), std::string::npos) << error;
+  EXPECT_NE(error.find("but the deployment has 16 servers"), std::string::npos)
+      << error;
+  EXPECT_FALSE(ds.loaded());
+
+  // The open-shard arm refuses the same records.
+  live::Watermark wm;
+  std::ifstream in(big.archive_path, std::ios::binary | std::ios::ate);
+  wm.sealed_bytes = static_cast<std::uint64_t>(in.tellg());
+  wm.epoch = 0;
+  ASSERT_TRUE(live::write_watermark_file(big.archive_path, wm, error)) << error;
+  error.clear();
+  EXPECT_FALSE(ds.load(error));
+  EXPECT_NE(error.find("but the deployment has 16 servers"), std::string::npos)
+      << error;
+  live::remove_watermark_file(big.archive_path);
+  std::remove(big.archive_path.c_str());
+}
+
+TEST(SvcDataset, OnePassGridMatchesTwoPassFold) {
+  // The last epochs hold only failed pings (and invalid-RTT pings, which
+  // the decoder rejects), so the grid ends past the last valid sample.
+  // Dataset::load sizes the grid while folding; a pre-scan for the last
+  // ping epoch followed by a fold into a pre-sized store must agree on
+  // the grid and on every verdict.
+  const svc::DatasetConfig& base = world().cfg;
+  svc::DatasetConfig cfg = base;
+  cfg.archive_path = ::testing::TempDir() + "s2s_test_svc_grid_" +
+                     std::to_string(::getpid()) + ".s2sb";
+  {
+    std::ofstream out(cfg.archive_path, std::ios::binary);
+    io::BinRecordWriter writer(out);
+    probe::PingRecord r;
+    const auto at = [&](std::int64_t epoch) {
+      return net::SimTime(epoch * cfg.ping_interval_s +
+                          static_cast<std::int64_t>(cfg.ping_start_day *
+                                                    86400.0));
+    };
+    for (std::int64_t e = 0; e < 230; ++e) {
+      for (const auto& [src, dst] : {std::pair{0u, 1u}, std::pair{2u, 3u}}) {
+        r.src = src;
+        r.dst = dst;
+        r.family = e % 2 ? net::Family::kIPv6 : net::Family::kIPv4;
+        r.time = at(e);
+        r.success = e < 200;  // the tail only fails
+        r.rtt_ms = e < 200 ? 40.0 + 15.0 * std::sin(e * 0.065) + src : 0.0;
+        writer.write(r);
+      }
+    }
+    for (std::int64_t e = 230; e < 250; ++e) {
+      r.time = at(e);
+      r.success = true;
+      r.rtt_ms = -1.0;  // invalid: rejected at decode
+      writer.write(r);
+    }
+    writer.finish();
+  }
+
+  svc::Dataset ds(cfg, &world().dataset->net());
+  std::string error;
+  ASSERT_TRUE(ds.load(error)) << error;
+  EXPECT_GT(ds.ingest().records_rejected, 0u);
+
+  std::int64_t last = -1;
+  const auto scan = io::ingest_record_file(
+      cfg.archive_path, [](const probe::TracerouteRecord&) {},
+      [&](const probe::PingRecord& p) {
+        last = std::max(last, net::grid_epoch(p.time, cfg.ping_start_day,
+                                              cfg.ping_interval_s));
+      });
+  ASSERT_TRUE(scan.ok);
+  const auto epochs = static_cast<std::size_t>(last + 1);
+  core::PingSeriesStore two_pass(cfg.ping_start_day, cfg.ping_interval_s,
+                                 epochs);
+  io::ingest_record_file(
+      cfg.archive_path, [](const probe::TracerouteRecord&) {},
+      [&](const probe::PingRecord& p) { two_pass.add(p); });
+  EXPECT_EQ(epochs, 230u);
+  EXPECT_EQ(ds.ping_epochs(), epochs);
+  EXPECT_EQ(ds.pings().epochs(), epochs);
+  EXPECT_EQ(ds.pings().quality().out_of_grid, 0u);
+
+  const auto pairs = ds.ping_pairs();
+  ASSERT_EQ(pairs.size(), 4u);
+  for (const auto& k : pairs) {
+    const net::Family family =
+        k.family == 6 ? net::Family::kIPv6 : net::Family::kIPv4;
+    const auto* series = two_pass.find(k.src, k.dst, family);
+    ASSERT_NE(series, nullptr);
+    ASSERT_EQ(ds.pings().find(k.src, k.dst, family)->rtt_tenths,
+              series->rtt_tenths);
+    // The batch verdict, computed over the pre-sized store.
+    core::CongestionDetectConfig dc = cfg.detect;
+    dc.min_samples = static_cast<std::size_t>(cfg.detect_min_fraction *
+                                              static_cast<double>(epochs));
+    auto v = core::assess_series(
+        core::PingSeriesStore::to_ms_interpolated(*series),
+        two_pass.samples_per_day(), dc);
+    if (series->valid < dc.min_samples) v.insufficient = true;
+    obs::json::Writer w;
+    w.begin_object();
+    w.key("type").value("congestion_verdict");
+    w.key("src").value(static_cast<std::uint64_t>(k.src));
+    w.key("dst").value(static_cast<std::uint64_t>(k.dst));
+    w.key("family").value(static_cast<std::uint64_t>(k.family));
+    w.key("samples").value(static_cast<std::uint64_t>(series->valid));
+    w.key("missing_samples")
+        .value(static_cast<std::uint64_t>(epochs - series->valid));
+    w.key("insufficient").value(v.insufficient);
+    w.key("variation_ms").value(v.variation_ms);
+    w.key("diurnal_ratio").value(v.diurnal_ratio);
+    w.key("high_variation").value(v.high_variation);
+    w.key("strong_diurnal").value(v.strong_diurnal);
+    w.key("consistent_congestion").value(v.consistent_congestion());
+    w.end_object();
+    const auto r = ds.execute(
+        svc::MsgType::kCongestionVerdict,
+        svc::encode_pair_query({k.src, k.dst, k.family, 0}), nullptr);
+    ASSERT_EQ(r.type, svc::MsgType::kOk);
+    EXPECT_EQ(r.payload, w.str());
+  }
+  std::remove(cfg.archive_path.c_str());
 }
 
 }  // namespace
